@@ -31,7 +31,6 @@ from .model import (
 from .network import (
     ConvLayerParams,
     ConvNetParams,
-    ReceptiveField,
     default_dilations,
     net_forward,
     receptive_field,

@@ -231,15 +231,6 @@ def exp(a) -> Tensor:
     return _record("exp", out, (at,), bk)
 
 
-def log(a) -> Tensor:
-    at = _wrap(a)
-
-    def bk(g):
-        return (g / at.data,)
-
-    return _record("log", np.log(at.data), (at,), bk)
-
-
 def sqrt(a) -> Tensor:
     at = _wrap(a)
     out = np.sqrt(at.data)
@@ -310,16 +301,6 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(g, at.data.shape).astype(at.data.dtype),)
 
     return _record("sum", out, (at,), bk)
-
-
-def mean(a) -> Tensor:
-    at = _wrap(a)
-    n = at.data.size
-
-    def bk(g):
-        return (np.broadcast_to(np.asarray(g) / n, at.data.shape).astype(at.data.dtype),)
-
-    return _record("mean", at.data.mean(), (at,), bk)
 
 
 def reshape(a, shape) -> Tensor:

@@ -27,6 +27,7 @@ from .io import (
 from .model import (
     build_model,
     cast_model,
+    check_sample_rate,
     conditioner_grids,
     count_parameters,
     load_checkpoint,
@@ -167,10 +168,12 @@ def _mel_for_synth(args, model) -> tuple[MelSpectrogram | None, int]:
         tensors, manifest = load_tensors(args.mel)
         frames = tensors["mel"].astype(np.float64)
         rate = int(manifest.get("sample_rate", model.config.sample_rate))
+        check_sample_rate(model, rate)
         n = int(manifest.get("n_samples", frames.shape[0] * model.config.mel.hop))
         return MelSpectrogram(frames, rate, model.config.mel), n
     if args.wav:
         wav = read_wav(args.wav)
+        check_sample_rate(model, wav.sample_rate)
         return mel_spectrogram(wav, model.config.mel), len(wav)
     if model.upsampler is not None:
         raise ValidationError("conditioned model: give --mel or --wav")

@@ -7,10 +7,14 @@ The density direction maps a grid X to latents Z in one pass:
 with (mu, log sigma) computed by the conv net from the rows strictly above i
 (the net sees the row-shifted grid). The Jacobian is triangular with
 diagonal sigma, so log|det| is just sum(log sigma). Stacks compose several
-flows, permuting grid rows (and the conditioner) between flows.
+flows, permuting grid rows (and the conditioner) between flows. This
+direction, and so likelihood and training, runs on the taped net_forward.
 
 The sampling direction inverts row by row: row i of X needs only rows < i,
-so h sequential net evaluations reconstruct the grid exactly.
+so h sequential net evaluations reconstruct the grid exactly. Both sampling
+engines run the tape-free compiled_forward and divide by floored_sigma: the
+naive reference here re-runs it over the whole grid for every row, and the
+queued engine (synth.py) runs it on one row through per-layer ring buffers.
 
 Also here: loop-built 1-D reference transforms (fully autoregressive, and
 two-half bipartite) used as equivalence oracles for the degenerate grid
@@ -26,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import NumericalError, ValidationError
-from .network import ConvNetParams, net_forward
+from .network import ConvNetParams, compile_net, compiled_forward, cond_biases, net_forward
 from .signal import Permutation
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -99,6 +103,22 @@ def flow_inverse(x, cond, net: ConvNetParams) -> tuple[Tensor, Tensor]:
     return z, ad.sum_(log_sigma)
 
 
+def floored_sigma(log_sigma: np.ndarray, stats: SynthStats | None = None) -> np.ndarray:
+    """exp(log_sigma), floored at exp(-7); floored entries are tallied in stats.
+
+    Sampling divides by sigma, so a collapsed scale is floored rather than
+    letting the division blow up.
+    """
+    sigma = np.exp(log_sigma)
+    floor = np.exp(np.asarray(SIGMA_FLOOR_LOG, dtype=sigma.dtype))
+    low = sigma < floor
+    if low.any():
+        sigma = np.maximum(sigma, floor)
+        if stats is not None:
+            stats.sigma_floored += int(low.sum())
+    return sigma
+
+
 def flow_forward(
     z: np.ndarray,
     cond,
@@ -108,25 +128,19 @@ def flow_forward(
     """Sampling direction for one flow, one full net pass per row (reference).
 
     Row i of the output depends only on already-generated rows < i, so the
-    grid is filled top to bottom. Scales below exp(-7) are floored and
-    tallied rather than letting a division blow up.
+    grid is filled top to bottom.
     """
     z = np.asarray(z)
     h, w = z.shape
+    cnet = compile_net(net)
+    cond_rows = cond_biases(cnet, cond)
     x = np.zeros_like(z)
-    floor = np.exp(np.asarray(SIGMA_FLOOR_LOG, dtype=z.dtype))
+    shifted = np.zeros_like(z)
     for i in range(h):
-        shifted = np.zeros_like(x)
-        shifted[1:] = x[:-1]
-        mu, log_sigma = net_forward(shifted, cond, net)
-        mu_i = mu.data[i]
-        sigma_i = np.exp(log_sigma.data[i])
-        low = sigma_i < floor
-        if low.any():
-            sigma_i = np.maximum(sigma_i, floor)
-            if stats is not None:
-                stats.sigma_floored += int(low.sum())
-        x[i] = (z[i] - mu_i) / sigma_i
+        mu, log_sigma = compiled_forward(cnet, shifted, cond_rows)
+        x[i] = (z[i] - mu[i]) / floored_sigma(log_sigma[i], stats)
+        if i + 1 < h:
+            shifted[i + 1] = x[i]
         if stats is not None:
             stats.row_steps += 1
             stats.full_net_evals += 1

@@ -17,7 +17,7 @@ import numpy as np
 from . import conditioner as cond_mod
 from .autodiff import Parameter, Tensor
 from .conditioner import MelSpectrogram, UpsamplerParams, init_upsampler, upsample
-from .errors import CheckpointError, ValidationError
+from .errors import CheckpointError, NumericalError, ValidationError
 from .flow import FlowStack, LikelihoodReport, SynthStats, stack_forward, stack_inverse
 from .io import (
     ModelConfig,
@@ -143,13 +143,17 @@ def conditioner_grids(model: Model, mel: MelSpectrogram, n_samples: int):
     )
 
 
+def check_sample_rate(model: Model, rate: int) -> None:
+    """Reject audio or features at a rate the model was not built for."""
+    if rate != model.config.sample_rate:
+        raise ValidationError(
+            f"sample rate {rate} does not match model ({model.config.sample_rate})"
+        )
+
+
 def prepare_grid(model: Model, wav: Waveform):
     """Pad, squeeze, and build conditioner grids for one waveform."""
-    if wav.sample_rate != model.config.sample_rate:
-        raise ValidationError(
-            f"sample rate {wav.sample_rate} does not match model "
-            f"({model.config.sample_rate})"
-        )
+    check_sample_rate(model, wav.sample_rate)
     samples, pad = pad_to_multiple(
         np.asarray(wav.samples, dtype=model.dtype), model.config.height
     )
@@ -202,6 +206,8 @@ def synthesize(
         grid = synth_queued(z, conds, model.stack, stats=stats)
     else:
         raise ValidationError(f"unknown synthesis engine {engine!r}")
+    if not np.all(np.isfinite(grid)):
+        raise NumericalError(f"synthesized audio is not finite (latent std {std})")
     samples = unsqueeze(grid)
     if pad:
         samples = samples[:-pad]

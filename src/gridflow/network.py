@@ -10,11 +10,15 @@ flow starts as the identity.
 Weights use the w = g * v / ||v|| magnitude/direction form, with ||v|| taken
 per output channel. The zero-initialized output head stays a plain weight:
 the decomposition cannot represent v = 0.
+
+net_forward is the taped forward that likelihood and training differentiate.
+Sampling runs compiled_forward instead, a tape-free numpy forward over a net
+that compile_net has materialized once; net_forward is its reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +93,6 @@ class ConvNetParams:
         out += self.skip_head.parameters() + [self.skip_head_bias]
         out += [self.out_head, self.out_head_bias]
         return out
-
-
-@dataclass
-class ReceptiveField:
-    """Height-axis reach of a dilated stack."""
-
-    rows: int
-    dilations: list[int] = field(default_factory=list)
 
 
 def receptive_field(kernel: int, dilations) -> int:
@@ -268,3 +264,130 @@ def net_forward(
     if collect_hidden:
         return mu, log_sigma, hidden
     return mu, log_sigma
+
+
+# ---------------------------------------------------------------------------
+# compiled numpy forward, shared by both sampling engines
+
+
+@dataclass
+class CompiledLayer:
+    filt: np.ndarray  # (2R, kh*kw*R), columns ordered (height tap, width tap, channel)
+    bias: np.ndarray  # (2R,)
+    cond: np.ndarray | None  # (2R, M)
+    res_w: np.ndarray  # (R, R)
+    res_b: np.ndarray
+    skip_w: np.ndarray
+    skip_b: np.ndarray
+    dilation_h: int
+    dilation_w: int
+
+
+@dataclass
+class CompiledNet:
+    input_w: np.ndarray  # (R,)
+    input_b: np.ndarray
+    layers: list[CompiledLayer]
+    skip_head_w: np.ndarray  # (R, R)
+    skip_head_b: np.ndarray
+    out_w: np.ndarray  # (2, R)
+    out_b: np.ndarray
+    kernel_h: int
+    kernel_w: int
+
+
+def compile_net(net: ConvNetParams) -> CompiledNet:
+    """Materialize weight norm once and flatten each filter for one GEMM per layer."""
+
+    def proj(w: NormedWeight) -> np.ndarray:
+        return w.tensor().data[:, :, 0, 0]
+
+    layers = []
+    for layer in net.layers:
+        filt = layer.filter.tensor().data
+        layers.append(
+            CompiledLayer(
+                filt=filt.transpose(0, 2, 3, 1).reshape(filt.shape[0], -1),
+                bias=layer.bias.data,
+                cond=None if layer.cond_proj is None else proj(layer.cond_proj),
+                res_w=proj(layer.res_proj),
+                res_b=layer.res_bias.data,
+                skip_w=proj(layer.skip_proj),
+                skip_b=layer.skip_bias.data,
+                dilation_h=layer.dilation_h,
+                dilation_w=layer.dilation_w,
+            )
+        )
+    return CompiledNet(
+        input_w=net.input_proj.tensor().data[:, 0, 0, 0],
+        input_b=net.input_bias.data,
+        layers=layers,
+        skip_head_w=proj(net.skip_head),
+        skip_head_b=net.skip_head_bias.data,
+        out_w=net.out_head.data[:, :, 0, 0],
+        out_b=net.out_head_bias.data,
+        kernel_h=net.kernel_h,
+        kernel_w=net.kernel_w,
+    )
+
+
+def cond_biases(cnet: CompiledNet, cond) -> list[np.ndarray] | None:
+    """Fold an (M, h, w) conditioner grid into per-layer (2R, h, w) gate biases."""
+    if cond is None:
+        return None
+    if any(layer.cond is None for layer in cnet.layers):
+        raise ValidationError("net has no conditioner projections but cond given")
+    cd = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
+    return [np.tensordot(layer.cond, cd, axes=(1, 0)) for layer in cnet.layers]
+
+
+def grid_taps(li: int, x: np.ndarray, delays) -> np.ndarray:
+    """Height taps of a whole (C, h, w) layer input: x moved down by each delay."""
+    n = x.shape[1]
+    taps = np.zeros((len(delays),) + x.shape, dtype=x.dtype)
+    for a, d in enumerate(delays):
+        if d < n:
+            taps[a, :, d:] = x[:, : n - d]
+    return taps
+
+
+def _width_taps(taps: np.ndarray, kw: int, dw: int) -> np.ndarray:
+    """(kh, C, n, w) height taps -> (kh, kw, C, n, w), each width offset zero-padded."""
+    w = taps.shape[-1]
+    pad = (kw - 1) // 2 * dw
+    cols = np.zeros((taps.shape[0], kw) + taps.shape[1:], dtype=taps.dtype)
+    for b in range(kw):
+        off = b * dw - pad
+        lo, hi = max(0, -off), min(w, w - off)
+        if lo < hi:
+            cols[:, b, ..., lo:hi] = taps[..., lo + off : hi + off]
+    return cols
+
+
+def compiled_forward(cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=grid_taps):
+    """Tape-free net_forward: row-shifted (n, w) rows -> (mu, log_sigma), each (n, w).
+
+    Layer li's height taps come from taps(li, x, delays), where x is the
+    layer's (R, n, w) input for these rows and delays lists, oldest first,
+    how many rows above x each tap sits; it returns (kh, R, n, w), zeros
+    above the first grid row. The default reads them from x itself, so
+    `rows` is the whole shifted grid; the queued sampler passes one row and
+    reads its ring buffers. cond_rows holds cond_biases for the same rows.
+    """
+    n, w = rows.shape
+    kh, kw = cnet.kernel_h, cnet.kernel_w
+    x = cnet.input_w[:, None, None] * rows + cnet.input_b[:, None, None]
+    skip = 0.0
+    for li, layer in enumerate(cnet.layers):
+        r_ch = layer.res_w.shape[0]
+        hs = taps(li, x, [(kh - 1 - a) * layer.dilation_h for a in range(kh)])
+        cols = _width_taps(hs, kw, layer.dilation_w).reshape(-1, n * w)
+        pre = (layer.filt @ cols).reshape(2 * r_ch, n, w) + layer.bias[:, None, None]
+        if cond_rows is not None:
+            pre = pre + cond_rows[li]
+        hid = (np.tanh(pre[:r_ch]) * ad.sigmoid(pre[r_ch:]).data).reshape(r_ch, n * w)
+        x = x + (layer.res_w @ hid + layer.res_b[:, None]).reshape(r_ch, n, w)
+        skip = skip + layer.skip_w @ hid + layer.skip_b[:, None]
+    head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
+    out = cnet.out_w @ np.maximum(head, 0.0) + cnet.out_b[:, None]
+    return out[0].reshape(n, w), out[1].reshape(n, w)

@@ -56,17 +56,6 @@ class Permutation:
     def height(self) -> int:
         return len(self.row_map)
 
-    def inverse_map(self) -> np.ndarray:
-        inv = np.empty_like(self.row_map)
-        inv[self.row_map] = np.arange(len(self.row_map))
-        return inv
-
-    def apply(self, grid: np.ndarray) -> np.ndarray:
-        """Scatter rows (axis -2) of a numpy array."""
-        out = np.empty_like(grid)
-        out[..., self.row_map, :] = grid
-        return out
-
 
 def identity_permutation(h: int) -> Permutation:
     return Permutation(np.arange(h), "identity")
@@ -88,19 +77,6 @@ def bipartite_reverse_permutation(h: int) -> Permutation:
     half = h // 2
     row_map = np.concatenate([np.arange(half)[::-1], np.arange(half, h)[::-1]])
     return Permutation(row_map, "bipartite_reverse")
-
-
-_PERM_FACTORY = {
-    "identity": identity_permutation,
-    "reverse": reverse_permutation,
-    "bipartite_reverse": bipartite_reverse_permutation,
-}
-
-
-def make_permutation(kind: str, h: int) -> Permutation:
-    if kind not in _PERM_FACTORY:
-        raise ValidationError(f"unknown permutation kind {kind!r}")
-    return _PERM_FACTORY[kind](h)
 
 
 def pad_to_multiple(x: np.ndarray, h: int) -> tuple[np.ndarray, int]:

@@ -1,14 +1,16 @@
 """Fast row-by-row synthesis with per-layer convolution queues.
 
-The naive sampler re-runs the whole conv stack for every generated row,
-O(h^2 w) per flow. The queued engine caches, per conv layer, the last
-(k_h - 1) * d_h rows of that layer's input in a ring buffer, so each new row
-costs one row's worth of compute regardless of the row index: O(h w) per
-flow, identical output to the naive path up to float noise.
+The naive sampler (flow.flow_forward) re-runs the whole conv stack for every
+generated row, O(h^2 w) per flow. The queued engine caches, per conv layer,
+the last (k_h - 1) * d_h rows of that layer's input in a ring buffer, so each
+new row costs one row's worth of compute regardless of the row index: O(h w)
+per flow.
 
-Weight-normed tensors are materialized to plain numpy arrays once per call
-(weights are constant during synthesis), and each layer's conditioner
-projection is folded into a per-row bias grid before the row loop starts.
+Both engines run the same kernel, network.compiled_forward, on a net compiled
+once per flow (weight norm materialized, each filter flattened for one GEMM
+over its stacked taps) and the same conditioner folding and sigma floor. They
+differ only in where a layer's height taps come from: shifted slices of the
+full grid there, ring-buffer reads here.
 """
 
 from __future__ import annotations
@@ -19,78 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .flow import SynthStats
-from .network import ConvLayerParams, ConvNetParams, NormedWeight
-
-SIGMA_FLOOR_LOG = -7.0
-
-
-def _materialize(w: NormedWeight) -> np.ndarray:
-    v = w.v.data
-    if w.g is None:
-        return v.copy()
-    axes = tuple(range(1, v.ndim))
-    norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
-    g = w.g.data.reshape((len(w.g.data),) + (1,) * (v.ndim - 1))
-    return v * g / norm
-
-
-@dataclass
-class _CompiledLayer:
-    filt: np.ndarray  # (2R, R, kh, kw)
-    bias: np.ndarray
-    cond: np.ndarray | None  # (2R, M)
-    res_w: np.ndarray  # (R, R)
-    res_b: np.ndarray
-    skip_w: np.ndarray
-    skip_b: np.ndarray
-    dilation_h: int
-    dilation_w: int
-
-
-@dataclass
-class _CompiledNet:
-    input_w: np.ndarray  # (R,)
-    input_b: np.ndarray
-    layers: list[_CompiledLayer]
-    skip_head_w: np.ndarray
-    skip_head_b: np.ndarray
-    out_w: np.ndarray  # (2, R)
-    out_b: np.ndarray
-    kernel_h: int
-    kernel_w: int
-
-
-def compile_net(net: ConvNetParams) -> _CompiledNet:
-    """Materialize weight norm into plain arrays for the row kernels."""
-    layers = []
-    for layer in net.layers:
-        layers.append(
-            _CompiledLayer(
-                filt=_materialize(layer.filter),
-                bias=layer.bias.data,
-                cond=None
-                if layer.cond_proj is None
-                else _materialize(layer.cond_proj)[:, :, 0, 0],
-                res_w=_materialize(layer.res_proj)[:, :, 0, 0],
-                res_b=layer.res_bias.data,
-                skip_w=_materialize(layer.skip_proj)[:, :, 0, 0],
-                skip_b=layer.skip_bias.data,
-                dilation_h=layer.dilation_h,
-                dilation_w=layer.dilation_w,
-            )
-        )
-    return _CompiledNet(
-        input_w=_materialize(net.input_proj)[:, 0, 0, 0],
-        input_b=net.input_bias.data,
-        layers=layers,
-        skip_head_w=_materialize(net.skip_head)[:, :, 0, 0],
-        skip_head_b=net.skip_head_bias.data,
-        out_w=net.out_head.data[:, :, 0, 0],
-        out_b=net.out_head_bias.data,
-        kernel_h=net.kernel_h,
-        kernel_w=net.kernel_w,
-    )
+from .flow import SynthStats, _conds, floored_sigma, stack_forward
+from .network import CompiledNet, compile_net, compiled_forward, cond_biases
 
 
 class LayerQueue:
@@ -119,11 +51,6 @@ class LayerQueue:
         self.buf[self.pushed % self.capacity] = row
         self.pushed += 1
 
-    def rows(self) -> list[np.ndarray]:
-        """Buffered rows, oldest first (for inspection/tests)."""
-        n = min(self.pushed, self.capacity)
-        return [self.buf[(self.pushed - n + i) % self.capacity].copy() for i in range(n)]
-
 
 @dataclass
 class QueueState:
@@ -132,7 +59,7 @@ class QueueState:
     queues: list[LayerQueue]
 
     @classmethod
-    def for_net(cls, net: _CompiledNet, width: int, dtype, channels: int):
+    def for_net(cls, net: CompiledNet, width: int, dtype, channels: int):
         queues = [
             LayerQueue((net.kernel_h - 1) * layer.dilation_h, channels, width, dtype)
             for layer in net.layers
@@ -141,87 +68,46 @@ class QueueState:
 
 
 def _row_step(
-    cnet: _CompiledNet,
+    cnet: CompiledNet,
     qs: QueueState,
     prev_row: np.ndarray,
     cond_rows,
     stats: SynthStats | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generated row: previous waveform row in, (mu, log_sigma) row out."""
-    kh, kw = cnet.kernel_h, cnet.kernel_w
-    w = len(prev_row)
-    flops = 0
-    x = cnet.input_w[:, None] * prev_row[None, :] + cnet.input_b[:, None]
-    flops += x.size
-    skip = None
-    for li, layer in enumerate(cnet.layers):
-        dh, dw = layer.dilation_h, layer.dilation_w
-        pad_w = ((kw - 1) // 2) * dw
-        pre = layer.bias[:, None] + (cond_rows[li] if cond_rows is not None else 0.0)
-        # height taps: kh-1 from the queue (oldest first), current row last
-        for a in range(kh):
-            delay = (kh - 1 - a) * dh
-            row = x if delay == 0 else qs.queues[li].read(delay)
-            rp = np.pad(row, ((0, 0), (pad_w, pad_w))) if pad_w else row
-            for b in range(kw):
-                pre = pre + np.tensordot(
-                    layer.filt[:, :, a, b], rp[:, b * dw : b * dw + w], axes=(1, 0)
-                )
-                flops += layer.filt.shape[0] * layer.filt.shape[1] * w
-        qs.queues[li].push(x)
-        r_ch = layer.res_w.shape[0]
-        hid = np.tanh(pre[:r_ch]) * _sigmoid(pre[r_ch:])
-        x = x + layer.res_w @ hid + layer.res_b[:, None]
-        s = layer.skip_w @ hid + layer.skip_b[:, None]
-        flops += 2 * r_ch * r_ch * w
-        skip = s if skip is None else skip + s
-    head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
-    out = cnet.out_w @ np.maximum(head, 0.0) + cnet.out_b[:, None]
-    flops += cnet.skip_head_w.size * w + cnet.out_w.size * w
+
+    def taps(li, x, delays):
+        queue = qs.queues[li]
+        # stacked (copied) before the push overwrites the oldest slot
+        rows = np.stack([x[:, 0] if d == 0 else queue.read(d) for d in delays])
+        queue.push(x[:, 0])
+        return rows[:, :, None]
+
+    mu, log_sigma = compiled_forward(cnet, prev_row[None], cond_rows, taps)
     if stats is not None:
-        stats.row_flops.append(flops)
-    return out[0], out[1]
-
-
-def _sigmoid(x):
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        w = len(prev_row)
+        per_col = cnet.input_w.size + cnet.skip_head_w.size + cnet.out_w.size
+        per_col += sum(layer.filt.size + 2 * layer.res_w.size for layer in cnet.layers)
+        stats.row_flops.append(per_col * w)
+    return mu[0], log_sigma[0]
 
 
 def synth_queued(z, conds, stack, stats: SynthStats | None = None) -> np.ndarray:
     """Latent grid -> waveform grid with per-layer queues; matches stack_forward."""
     x = np.asarray(z)
     h, w = x.shape
-    n = stack.n_flows
-    cond_list = conds if conds is not None else [None] * n
-    if len(cond_list) != n:
-        raise ValidationError("need one conditioner grid per flow")
-    floor = np.exp(np.asarray(SIGMA_FLOOR_LOG, dtype=x.dtype))
+    cond_list = _conds(conds, stack)
     for net, perm, cond in reversed(list(zip(stack.nets, stack.permutations, cond_list))):
         x = x[perm.row_map]
         cnet = compile_net(net)
-        r_ch = net.residual_channels
-        qs = QueueState.for_net(cnet, w, x.dtype, r_ch)
-        cond_data = None
-        if cond is not None:
-            cd = cond.data if hasattr(cond, "data") else np.asarray(cond)
-            # fold each layer's conditioner projection into per-row gate biases
-            cond_data = [
-                np.tensordot(layer.cond, cd, axes=(1, 0)) for layer in cnet.layers
-            ]
+        qs = QueueState.for_net(cnet, w, x.dtype, net.residual_channels)
+        cond_grid = cond_biases(cnet, cond)
         out = np.zeros_like(x)
         prev = np.zeros(w, dtype=x.dtype)
         for i in range(h):
-            cond_rows = None
-            if cond_data is not None:
-                cond_rows = [cond_data[li][:, i, :] for li in range(len(cnet.layers))]
+            cond_rows = None if cond_grid is None else [c[:, i : i + 1] for c in cond_grid]
             mu_i, ls_i = _row_step(cnet, qs, prev, cond_rows, stats)
-            sigma_i = np.exp(ls_i)
-            low = sigma_i < floor
-            if low.any():
-                sigma_i = np.maximum(sigma_i, floor)
-                if stats is not None:
-                    stats.sigma_floored += int(low.sum())
-            out[i] = (x[i] - mu_i) / sigma_i
+            out[i] = (x[i] - mu_i) / floored_sigma(ls_i, stats)
             prev = out[i]
             if stats is not None:
                 stats.row_steps += 1
@@ -263,8 +149,6 @@ class BenchReport:
 
 def bench(stack, z: np.ndarray, conds=None) -> BenchReport:
     """Time both engines on one latent grid (model build and mel excluded)."""
-    from .flow import stack_forward
-
     h, w = z.shape
     t0 = time.perf_counter()
     naive_stats = SynthStats()

@@ -222,6 +222,22 @@ class TestConditionedSynth:
         assert len(read_wav(out)) == 4096
         capsys.readouterr()
 
+    @pytest.mark.parametrize("source", ["--wav", "--mel"])
+    def test_foreign_sample_rate_is_one(self, corpus, capsys, source):
+        tmp_path, _, _ = corpus
+        ckpt = self._save_conditioned(tmp_path)
+        wav16k = tmp_path / "u16k.wav"
+        write_wav(wav16k, Waveform(0.1 * np.ones(2048), 16000))
+        arg = wav16k
+        if source == "--mel":
+            arg = tmp_path / "mel-16k"
+            assert run_cli("mel", "--wav", wav16k, "--out", arg) == 0
+        out = tmp_path / "x.wav"
+        code = run_cli("synth", "--checkpoint", ckpt, source, arg, "--out", out)
+        assert code == 1
+        assert "sample rate 16000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_conditioning_is_validation_error(self, corpus, capsys):
         tmp_path, _, _ = corpus
         ckpt = self._save_conditioned(tmp_path)
@@ -274,6 +290,19 @@ class TestExitCodes:
             )
         assert code == 2
         assert "numerical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("std", ["nan", "inf"])
+    def test_non_finite_latent_is_two(self, tmp_path, capsys, std):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        out = tmp_path / "x.wav"
+        with np.errstate(invalid="ignore"):
+            code = run_cli(
+                "synth", "--checkpoint", tmp_path / "ck", "--samples", 64,
+                "--std", std, "--out", out,
+            )
+        assert code == 2
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_command_prints_help(self, capsys):
         assert run_cli() == 0

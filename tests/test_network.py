@@ -6,6 +6,9 @@ import pytest
 from gridflow import autodiff as ad
 from gridflow.errors import ValidationError
 from gridflow.network import (
+    compile_net,
+    compiled_forward,
+    cond_biases,
     default_dilations,
     init_conv_net,
     net_forward,
@@ -157,6 +160,48 @@ class TestWeightNorm:
         assert np.array_equal(
             net.layers[0].filter.tensor().data, net.layers[0].filter.v.data
         )
+
+
+class TestCompiledForward:
+    # (height, width, kernel_h, kernel_w, dilations_h, dilations_w, cond channels)
+    @pytest.mark.parametrize(
+        "h,w,kh,kw,dil_h,dil_w,cond_ch",
+        [
+            (8, 6, 3, 3, [1, 1], [1, 1], None),
+            (8, 6, 3, 3, [1, 1], [1, 2], 5),
+            (16, 12, 3, 3, [1, 2, 4], [1, 2, 4], None),
+            (8, 5, 3, 1, [1, 2], [1, 1], None),
+            (4, 7, 1, 3, [1, 1], [1, 2], 3),
+            (3, 4, 3, 3, [1, 4], [2, 8], 2),  # shorter and narrower than the reach
+        ],
+        ids=["plain", "conditioned", "dilated", "kernel_w1", "kernel_h1", "short_grid"],
+    )
+    def test_full_grid_matches_taped_reference(self, h, w, kh, kw, dil_h, dil_w, cond_ch):
+        rng = np.random.default_rng(24)
+        net = init_conv_net(
+            4,
+            len(dil_h),
+            kernel_h=kh,
+            kernel_w=kw,
+            dilations_h=dil_h,
+            dilations_w=dil_w,
+            cond_channels=cond_ch,
+            rng=rng,
+            dtype=np.float64,
+        )
+        # every parameter random, and g off ||v||, so no term is trivially zero
+        for p in net.parameters():
+            p.data = rng.standard_normal(p.data.shape) * 0.4
+            if p.name.endswith(".g"):
+                p.data = np.abs(p.data) + 0.5
+        x = rng.standard_normal((h, w))
+        cond = None if cond_ch is None else rng.standard_normal((cond_ch, h, w))
+        mu_ref, ls_ref = net_forward(x, cond, net)
+        cnet = compile_net(net)
+        mu, ls = compiled_forward(cnet, x, cond_biases(cnet, cond))
+        assert np.abs(mu - mu_ref.data).max() <= 1e-12
+        assert np.abs(ls - ls_ref.data).max() <= 1e-12
+        assert np.abs(ls_ref.data).max() > 0.1
 
 
 class TestShapes:

@@ -57,9 +57,7 @@ class TestLayerQueue:
             q.push(r)
         assert np.array_equal(q.read(1), rows[4])
         assert np.array_equal(q.read(2), rows[3])
-        got = q.rows()
-        assert len(got) == 2
-        assert np.array_equal(got[0], rows[3]) and np.array_equal(got[1], rows[4])
+        assert np.array_equal(q.read(3), np.zeros((3, 4)))  # evicted: beyond capacity
 
     def test_reads_past_start_are_zero(self):
         q = LayerQueue(4, 2, 3, np.float64)
@@ -77,7 +75,7 @@ class TestLayerQueue:
     def test_zero_capacity_is_inert(self):
         q = LayerQueue(0, 2, 2, np.float64)
         q.push(np.ones((2, 2)))
-        assert q.rows() == []
+        assert q.pushed == 0
         assert np.array_equal(q.read(1), np.zeros((2, 2)))
 
 
@@ -102,11 +100,9 @@ class TestQueueContents:
         _, _, hidden = net_forward(shifted, None, net, collect_hidden=True)
         for ell, layer in enumerate(net.layers):
             cap = (net.kernel_h - 1) * layer.dilation_h
-            rows = qs.queues[ell].rows()
-            assert len(rows) == min(cap, h)
-            expect = hidden[ell][:, h - len(rows) :, :]
-            for r, row in enumerate(rows):
-                assert np.abs(row - expect[:, r, :]).max() <= 1e-12
+            for delay in range(1, min(cap, h) + 1):
+                row = qs.queues[ell].read(delay)
+                assert np.abs(row - hidden[ell][:, h - delay, :]).max() <= 1e-12
 
 
 class TestEngineEquivalence:
