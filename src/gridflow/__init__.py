@@ -34,7 +34,6 @@ from .network import (
     default_dilations,
     net_forward,
     receptive_field,
-    validate_dilations,
 )
 from .signal import (
     Permutation,
@@ -45,7 +44,7 @@ from .signal import (
     unsqueeze,
     write_wav,
 )
-from .synth import BenchReport, QueueState, bench, synth_queued
+from .synth import bench, synth_queued
 from .train import AdamState, Dataset, TrainConfig, adam_step, sample_clip, train_loop
 
 __version__ = "0.1.0"

@@ -9,8 +9,7 @@ tape (store-all policy; no checkpointing or freeing).
 
 The op set is exactly what the engine needs: broadcasting arithmetic,
 pointwise nonlinearities, reductions, shape ops, a row shift, a row
-permutation, dilated 2-D convolution, and a strided single-channel
-transposed convolution.
+permutation, and dilated 2-D convolution.
 """
 
 from __future__ import annotations
@@ -253,12 +252,8 @@ def tanh(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     at = _wrap(a)
-    # stable two-sided form
-    out = np.where(
-        at.data >= 0,
-        1.0 / (1.0 + np.exp(-np.abs(at.data))),
-        np.exp(-np.abs(at.data)) / (1.0 + np.exp(-np.abs(at.data))),
-    )
+    # tanh form: one transcendental, and no overflow at either tail
+    out = 0.5 * (1.0 + np.tanh(0.5 * at.data))
 
     def bk(g):
         return (g * out * (1.0 - out),)
@@ -371,7 +366,7 @@ def permute_rows(a, row_map: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions
+# convolution
 
 
 def conv2d(x, w, bias=None, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
@@ -419,74 +414,6 @@ def conv2d(x, w, bias=None, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
 
     parents = (xt, wt) if bt is None else (xt, wt, bt)
     return _record("conv2d", out, parents, bk)
-
-
-def conv2d_transpose(x, k, bias=None, stride_t: int = 1, pad=(0, 0)) -> Tensor:
-    """Single-channel transposed 2-D conv: x (F,T), k (kf,kt) -> (Fo,To).
-
-    Stride 1 on the first axis, `stride_t` on the second. pad = (pad_f, pad_t)
-    trims the scatter result per the usual transposed-conv convention:
-    Fo = F + kf - 1 - 2*pad_f, To = (T-1)*stride_t + kt - 2*pad_t.
-    """
-    xt, kt_ = _wrap(x), _wrap(k)
-    xd, kd = xt.data, kt_.data
-    f_in, t_in = xd.shape
-    kf, ktap = kd.shape
-    pf, pt = pad
-    f_out = f_in + kf - 1 - 2 * pf
-    t_out = (t_in - 1) * stride_t + ktap - 2 * pt
-    if f_out <= 0 or t_out <= 0:
-        raise ValueError("transposed conv output would be empty")
-
-    # per-tap source/destination slices; tap (a, b) maps x[fi, ti] to
-    # out[fi + a - pf, ti*stride + b - pt]
-    def tap_slices(a, b):
-        fo0 = a - pf
-        fi0 = max(0, -fo0)
-        fi1 = min(f_in, f_out - fo0)
-        to_of = b - pt
-        ti0 = max(0, -(to_of // stride_t))  # ceil(-to_of / stride)
-        ti1 = min(t_in, -((-(t_out - to_of)) // stride_t))  # ceil((t_out-to_of)/stride)
-        if fi1 <= fi0 or ti1 <= ti0:
-            return None
-        return (
-            slice(fi0, fi1),
-            slice(ti0, ti1),
-            slice(fi0 + fo0, fi1 + fo0),
-            slice(ti0 * stride_t + to_of, (ti1 - 1) * stride_t + to_of + 1, stride_t),
-        )
-
-    out = np.zeros((f_out, t_out), dtype=xd.dtype)
-    for a in range(kf):
-        for b in range(ktap):
-            sl = tap_slices(a, b)
-            if sl is None:
-                continue
-            fi, ti, fo, to = sl
-            out[fo, to] += kd[a, b] * xd[fi, ti]
-    bt = None
-    if bias is not None:
-        bt = _wrap(bias)
-        out += bt.data
-
-    def bk(g):
-        g = np.asarray(g)
-        gx = np.zeros_like(xd)
-        gk = np.zeros_like(kd)
-        for a in range(kf):
-            for b in range(ktap):
-                sl = tap_slices(a, b)
-                if sl is None:
-                    continue
-                fi, ti, fo, to = sl
-                gx[fi, ti] += kd[a, b] * g[fo, to]
-                gk[a, b] = (g[fo, to] * xd[fi, ti]).sum()
-        if bt is None:
-            return gx, gk
-        return gx, gk, np.asarray(g.sum(), dtype=bt.data.dtype)
-
-    parents = (xt, kt_) if bt is None else (xt, kt_, bt)
-    return _record("conv2d_transpose", out, parents, bk)
 
 
 # ---------------------------------------------------------------------------

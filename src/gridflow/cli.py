@@ -1,8 +1,9 @@
 """Command-line interface: train, synth, loglik, bench, verify, mel.
 
 Every command takes --seed and --precision {fp32, fp64}. Exit codes: 0 on
-success, 1 for validation problems (bad files, configs, shapes), 2 for
-numerical aborts (non-finite values, failed checks at the numerical level).
+success, 1 for validation problems (bad or missing files, unwritable
+outputs, configs, shapes), 2 for numerical aborts (non-finite values, failed
+checks at the numerical level).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
         return 0
     try:
         return args.fn(args)
-    except ValidationError as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except NumericalError as e:

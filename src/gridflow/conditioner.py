@@ -8,10 +8,12 @@ so hop * n_frames always covers the padded waveform.
 Upsampling to sample rate: two single-channel transposed 2-D convs, each
 with time stride 16 and kernel (3, 32), pads (1, 8), followed by leaky ReLU
 (slope 0.4). Together they stretch time by hop = 256 while preserving the
-mel axis. The result is cut to h*w samples and squeezed into an
-(n_mels, h, w) grid column-major, exactly like the waveform, so grid entry
-(m, i, j) conditions waveform grid entry (i, j). Per-flow copies are then
-row-permuted cumulatively to track the latent's row order.
+mel axis. Each one runs as a plain conv2d with one output channel per
+phase of the stride, whose outputs interleave in time (the sub-pixel view).
+The result is cut to h*w samples and squeezed into an (n_mels, h, w) grid
+column-major, exactly like the waveform, so grid entry (m, i, j) conditions
+waveform grid entry (i, j). Per-flow copies are then row-permuted
+cumulatively to track the latent's row order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .errors import ValidationError
-from .network import NormedWeight
+from .network import NormedWeight, _normed
 from .signal import Permutation, Waveform
 
 LEAKY_SLOPE = 0.4
@@ -118,10 +120,6 @@ class UpsamplerParams:
             + [self.bias2]
         )
 
-    @property
-    def total_stride(self) -> int:
-        return self.stride * self.stride
-
 
 def init_upsampler(
     hop: int = 256, rng=None, dtype=np.float32, weight_norm: bool = True
@@ -132,54 +130,60 @@ def init_upsampler(
         raise ValidationError(f"hop {hop} is not a product of two equal strides")
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def kernel(pname):
-        shape = (1, 1, 3, 2 * stride)
-        v = Parameter((rng.standard_normal(shape) * 0.05).astype(dtype), f"{pname}.v")
-        if not weight_norm:
-            return NormedWeight(v, None)
-        g0 = np.sqrt((v.data.astype(np.float64) ** 2).sum()).reshape(1).astype(dtype)
-        return NormedWeight(v, Parameter(g0, f"{pname}.g"))
-
+    shape = (1, 1, 3, 2 * stride)
     return UpsamplerParams(
-        kernel1=kernel("upsampler.kernel1"),
+        kernel1=_normed("upsampler.kernel1", shape, rng, dtype, weight_norm),
         bias1=Parameter(np.zeros((), dtype=dtype), "upsampler.bias1"),
-        kernel2=kernel("upsampler.kernel2"),
+        kernel2=_normed("upsampler.kernel2", shape, rng, dtype, weight_norm),
         bias2=Parameter(np.zeros((), dtype=dtype), "upsampler.bias2"),
         stride=stride,
     )
 
 
 def upsample(mel_frames, up: UpsamplerParams) -> Tensor:
-    """(n_frames, n_mels) log-mel -> (n_mels, n_frames * hop) features."""
+    """(n_frames, n_mels) log-mel -> (n_mels, n_frames * hop) features.
+
+    Each layer is a transposed conv with time stride s, kernel (3, 2s) and
+    pads (1, s // 2). Output phase r of the stride sees only kernel taps r
+    and s + r, so the layer is a plain conv2d with s output channels over
+    the flipped taps, whose channels interleave in time before the trim.
+    """
     x = mel_frames if isinstance(mel_frames, Tensor) else Tensor(np.asarray(mel_frames))
+    s = up.stride
     feat = ad.transpose(x, (1, 0))  # mel bands become rows
     for kern, bias in ((up.kernel1, up.bias1), (up.kernel2, up.bias2)):
-        k = ad.reshape(kern.tensor(), kern.v.data.shape[-2:])
-        feat = ad.conv2d_transpose(
-            feat, k, bias, stride_t=up.stride, pad=(1, up.stride // 2)
+        n_mels, t = feat.data.shape
+        k = ad.permute_rows(ad.reshape(kern.tensor(), (3, 2, s)), [1, 0])  # flip taps
+        k = ad.permute_rows(ad.transpose(k, (2, 0, 1)), [2, 1, 0])  # flip height
+        phases = ad.conv2d(
+            ad.reshape(feat, (1, n_mels, t)),
+            ad.reshape(k, (s, 1, 3, 2)),
+            pad=((2, 2), (1, 1)),
         )
-        feat = ad.leaky_relu(feat, LEAKY_SLOPE)
+        full = ad.reshape(ad.transpose(phases, (1, 2, 0)), (n_mels + 2, (t + 1) * s))
+        feat = ad.narrow(ad.narrow(full, 0, 1, n_mels), 1, s // 2, (t + 1) * s - 2 * (s // 2))
+        feat = ad.leaky_relu(feat + bias, LEAKY_SLOPE)
     return feat
 
 
-def build_conditioner_grid(
-    features, h: int, permutations: list[Permutation]
+def conditioner_grids_for_length(
+    features, n_samples: int, h: int, permutations: list[Permutation]
 ) -> list[Tensor]:
-    """Cut features to h*w samples, squeeze, and track per-flow row orders.
+    """Cut features to n_samples, less any ragged tail, squeeze, and track row orders.
 
-    Returns one (M, h, w) grid per flow: grid k is the squeezed features
-    with permutations 0..k-1 applied cumulatively, matching the row order
-    the k-th flow's input arrives in.
+    Returns one (M, h, w) grid per flow, w = n_samples // h: grid k is the
+    squeezed features with permutations 0..k-1 applied cumulatively,
+    matching the row order the k-th flow's input arrives in.
     """
     ft = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
     n_mels, t = ft.data.shape
-    if t % h != 0:
-        if t < h:
-            raise ValidationError(f"features cover {t} samples, need at least {h}")
-        ft = ad.narrow(ft, 1, 0, t - t % h)
-        t = ft.data.shape[1]
-    w = t // h
+    if t < n_samples:
+        raise ValidationError(f"features cover {t} samples, need {n_samples}")
+    w = n_samples // h
+    if w == 0:
+        raise ValidationError(f"{n_samples} samples do not fill a column; need at least {h}")
+    if t > w * h:
+        ft = ad.narrow(ft, 1, 0, w * h)
     # column-major squeeze on the time axis, matching the waveform layout
     grid = ad.transpose(ad.reshape(ft, (n_mels, w, h)), (0, 2, 1))
     grids = [grid]
@@ -187,16 +191,3 @@ def build_conditioner_grid(
         grid = ad.permute_rows(grid, perm.row_map)
         grids.append(grid)
     return grids
-
-
-def conditioner_grids_for_length(
-    features, n_samples: int, h: int, permutations: list[Permutation]
-) -> list[Tensor]:
-    """Like build_conditioner_grid but first cut features to exactly n_samples."""
-    ft = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
-    t = ft.data.shape[1]
-    if t < n_samples:
-        raise ValidationError(f"features cover {t} samples, need {n_samples}")
-    if t > n_samples:
-        ft = ad.narrow(ft, 1, 0, n_samples)
-    return build_conditioner_grid(ft, h, permutations)

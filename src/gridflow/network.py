@@ -118,22 +118,6 @@ def default_dilations(h: int, n_layers: int = 8, kernel: int = 3) -> list[int]:
     return [2 ** min(i, 7) for i in range(n_layers)]
 
 
-def validate_dilations(h: int, dilations, kernel: int = 3) -> list[str]:
-    """Return warnings for schedules whose reach cannot cover the height.
-
-    The coverage rule: sum(d) >= (h-1)/(k-1), i.e. r >= h.
-    """
-    warnings = []
-    r = receptive_field(kernel, dilations)
-    if r < h:
-        warnings.append(
-            f"receptive field {r} rows does not cover height {h}; "
-            f"need sum(dilations) >= {(h - 1) / (kernel - 1):.1f}, "
-            f"got {int(sum(dilations))}"
-        )
-    return warnings
-
-
 def width_dilations(n_layers: int) -> list[int]:
     """Width schedule: the fixed power-of-two cycle, truncated or repeated."""
     cyc = WIDTH_DILATION_CYCLE

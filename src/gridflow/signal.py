@@ -131,7 +131,9 @@ def write_wav(path, wav: Waveform) -> None:
     """Write 16-bit PCM mono; samples are clipped to the representable range."""
     x = np.asarray(wav.samples, dtype=np.float64)
     pcm = np.clip(np.round(x * PCM_SCALE), -PCM_SCALE, PCM_SCALE - 1).astype("<i2")
-    with wave.open(str(path), "wb") as f:
+    # open the path first: wave.open on a path that cannot be created leaves a
+    # half-built writer whose finalizer raises again
+    with open(path, "wb") as fh, wave.open(fh, "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(2)
         f.setframerate(wav.sample_rate)

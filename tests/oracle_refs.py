@@ -1,8 +1,10 @@
-"""Shared test oracles: loop-based 1-D net evaluators and FD Jacobians.
+"""Shared test oracles: loop-based 1-D net evaluators, a scatter-form
+transposed conv, and FD Jacobians.
 
 These evaluate the conv stack one position at a time over the raw weight
 arrays, sharing no code with the production forward pass. Used by both the
-flow unit tests and the acceptance suite for the degenerate-grid claims.
+flow unit tests and the acceptance suite for the degenerate-grid claims,
+and by the conditioner tests for the mel upsampler.
 """
 
 import numpy as np
@@ -117,6 +119,35 @@ def eval_net_cols_1d(net, row):
         o = out_w @ head + net.out_head_bias.data
         mu[j], ls[j] = o[0], o[1]
     return mu, ls
+
+
+def conv_transpose_scatter(x, k, stride, pad):
+    """Single-channel transposed 2-D conv of x (F, T) with k (kf, kt), by loops.
+
+    Every input entry x[f, t] adds k[a, b] * x[f, t] at (f + a, t * stride + b)
+    of an untrimmed canvas; pad = (pad_f, pad_t) then trims that many entries
+    off both ends of each axis.
+    """
+    f_in, t_in = x.shape
+    kf, kt = k.shape
+    canvas = np.zeros((f_in + kf - 1, (t_in - 1) * stride + kt))
+    for f in range(f_in):
+        for t in range(t_in):
+            for a in range(kf):
+                for b in range(kt):
+                    canvas[f + a, t * stride + b] += k[a, b] * x[f, t]
+    pf, pt = pad
+    return canvas[pf : canvas.shape[0] - pf, pt : canvas.shape[1] - pt]
+
+
+def upsample_reference(frames, kernels, biases, stride, slope):
+    """Mel upsampler from raw (kf, kt) kernels: per layer, a transposed conv
+    with pads (1, stride // 2), plus a scalar bias, then leaky ReLU."""
+    feat = np.asarray(frames, dtype=np.float64).T
+    for k, b in zip(kernels, biases):
+        y = conv_transpose_scatter(feat, k, stride, (1, stride // 2)) + b
+        feat = np.where(y >= 0, y, slope * y)
+    return feat
 
 
 def fd_jacobian(fn, x0, eps=1e-6):

@@ -151,37 +151,6 @@ class TestConv2d:
             ad.conv2d(Tensor(np.zeros((2, 3, 3))), Tensor(np.zeros((1, 3, 1, 1))))
 
 
-class TestConvTranspose:
-    def test_shape_stretch(self):
-        x = Tensor(np.random.default_rng(21).standard_normal((80, 7)))
-        k = Tensor(np.random.default_rng(22).standard_normal((3, 32)))
-        out = ad.conv2d_transpose(x, k, stride_t=16, pad=(1, 8))
-        assert out.data.shape == (80, 7 * 16)
-
-    def test_grad(self):
-        x = randp((4, 3), "x", 23)
-        k = randp((3, 8), "k", 24)
-        b = Parameter(np.asarray(0.2), "b")
-        fd_check(
-            lambda: ad.sum_(
-                ad.conv2d_transpose(x, k, b, stride_t=4, pad=(1, 2))
-                * ad.conv2d_transpose(x, k, b, stride_t=4, pad=(1, 2))
-            ),
-            [x, k, b],
-        )
-
-    def test_nearest_neighbor_rig(self):
-        # time kernel of ones over one stride copies each input column 4 times
-        x = np.abs(np.random.default_rng(25).standard_normal((1, 5))) + 0.1
-        k = np.zeros((3, 8))
-        k[1, :4] = 1.0
-        out = ad.conv2d_transpose(Tensor(x), Tensor(k), stride_t=4, pad=(1, 2)).data
-        expect = np.repeat(x, 4, axis=1)
-        # pad=2 shifts the copy pattern by half a stride; compare the overlap
-        assert out.shape == (1, 20)
-        assert np.allclose(out[0, :-2], expect[0, 2:])
-
-
 class TestTapeMechanics:
     def test_recording_order_matches_execution(self):
         p = Parameter(np.ones(3), "p")

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, outputs, and exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -307,6 +308,50 @@ class TestExitCodes:
     def test_no_command_prints_help(self, capsys):
         assert run_cli() == 0
         assert "usage" in capsys.readouterr().out
+
+
+class TestFileSystemErrors:
+    """Missing inputs and unwritable outputs exit 1 with an error line."""
+
+    @staticmethod
+    def _fails_cleanly(capsys, *argv):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_loglik_missing_wav(self, tmp_path, capsys):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        self._fails_cleanly(
+            capsys, "loglik", "--checkpoint", tmp_path / "ck", "--wav", tmp_path / "no.wav"
+        )
+
+    def test_mel_missing_wav(self, tmp_path, capsys):
+        self._fails_cleanly(
+            capsys, "mel", "--wav", tmp_path / "no.wav", "--out", tmp_path / "m"
+        )
+
+    def test_train_manifest_entry_missing(self, corpus, capsys):
+        tmp_path, _, config = corpus
+        manifest = tmp_path / "gone.ndjson"
+        write_dataset_manifest(manifest, [DatasetEntry(path="gone.wav", duration=1.0)])
+        self._fails_cleanly(
+            capsys, "train", "--config", config, "--data", manifest,
+            "--out-dir", tmp_path / "run", "--steps", 1, "--clip", 512,
+        )
+
+    @pytest.mark.parametrize("target", ["nodir/x.wav", "."])
+    def test_synth_unwritable_out(self, tmp_path, capsys, monkeypatch, target):
+        # a writer left half-built by a failed open would raise again when
+        # collected, past the CLI's handler
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        self._fails_cleanly(
+            capsys, "synth", "--checkpoint", tmp_path / "ck", "--samples", 64,
+            "--out", tmp_path / target,
+        )
+        gc.collect()
+        assert unraisable == []
 
 
 class TestInstalledEntryPoint:

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from oracle_refs import upsample_reference
+from test_autodiff import fd_check
 
+from gridflow import autodiff as ad
+from gridflow.autodiff import Parameter
 from gridflow.conditioner import (
+    LEAKY_SLOPE,
     LOG_FLOOR,
     MelConfig,
-    build_conditioner_grid,
     conditioner_grids_for_length,
     hz_to_mel,
     init_upsampler,
@@ -112,7 +116,6 @@ class TestUpsampler:
     def test_stride_factoring(self):
         up = init_upsampler(256)
         assert up.stride == 16
-        assert up.total_stride == 256
         assert up.kernel1.v.data.shape == (1, 1, 3, 32)
 
     def test_bad_hop_rejected(self):
@@ -143,12 +146,47 @@ class TestUpsampler:
         w = up.kernel1.tensor().data
         assert np.abs(w - up.kernel1.v.data).max() <= 1e-12
 
+    @pytest.mark.parametrize("hop", [1, 4, 9, 16, 256])
+    def test_matches_scatter_oracle(self, hop):
+        up = _random_upsampler(hop, seed=hop)
+        frames = np.random.default_rng(100 + hop).standard_normal((3, 5))
+        kernels = [
+            kern.g.data[0] * kern.v.data[0, 0] / np.sqrt((kern.v.data**2).sum())
+            for kern in (up.kernel1, up.kernel2)
+        ]
+        biases = [float(up.bias1.data), float(up.bias2.data)]
+        expect = upsample_reference(frames, kernels, biases, up.stride, LEAKY_SLOPE)
+        feat = upsample(frames, up).data
+        assert feat.shape == expect.shape
+        assert np.abs(feat - expect).max() <= 1e-12
+
+    def test_gradients_match_finite_differences(self):
+        # stride 3 is odd, so the s // 2 trim does not align with the phase cycle
+        up = _random_upsampler(9, seed=11)
+        frames = Parameter(np.random.default_rng(12).standard_normal((3, 4)), "frames")
+        probe = np.random.default_rng(13).standard_normal(upsample(frames, up).data.shape)
+        fd_check(
+            lambda: ad.sum_(upsample(frames, up) * probe), up.parameters() + [frames]
+        )
+
+
+def _random_upsampler(hop, seed):
+    """fp64 upsampler with random v, g away from ||v||, and nonzero biases."""
+    rng = np.random.default_rng(seed)
+    up = init_upsampler(hop, rng=rng, dtype=np.float64)
+    for kern in (up.kernel1, up.kernel2):
+        kern.v.data = rng.standard_normal(kern.v.data.shape)
+        kern.g.data = np.abs(rng.standard_normal(1)) + 0.5
+    up.bias1.data = np.asarray(rng.standard_normal() * 0.3)
+    up.bias2.data = np.asarray(rng.standard_normal() * 0.3)
+    return up
+
 
 class TestConditionerGrids:
     def test_squeeze_layout_per_channel(self):
         rng = np.random.default_rng(6)
         feats = rng.standard_normal((3, 24))
-        grids = build_conditioner_grid(feats, 4, [reverse_permutation(4)])
+        grids = conditioner_grids_for_length(feats, 24, 4, [reverse_permutation(4)])
         assert len(grids) == 1
         assert grids[0].data.shape == (3, 4, 6)
         for m in range(3):
@@ -158,7 +196,7 @@ class TestConditionerGrids:
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((2, 32))
         perms = [reverse_permutation(8) for _ in range(3)]
-        grids = build_conditioner_grid(feats, 8, perms)
+        grids = conditioner_grids_for_length(feats, 32, 8, perms)
         assert len(grids) == 3
         g0 = grids[0].data
         assert np.array_equal(grids[1].data, g0[:, perms[0].row_map, :])
@@ -168,16 +206,20 @@ class TestConditionerGrids:
 
     def test_ragged_tail_trimmed(self):
         feats = np.arange(2 * 21, dtype=np.float64).reshape(2, 21)
-        grids = build_conditioner_grid(feats, 4, [reverse_permutation(4)])
+        grids = conditioner_grids_for_length(feats, 21, 4, [reverse_permutation(4)])
         assert grids[0].data.shape == (2, 4, 5)  # 21 -> 20 samples
 
     def test_too_short_rejected(self):
-        with pytest.raises(ValidationError, match="need"):
-            build_conditioner_grid(np.zeros((2, 3)), 4, [reverse_permutation(4)])
+        # fewer samples than one column, then fewer features than samples
+        for n_samples in (3, 4):
+            with pytest.raises(ValidationError, match="need"):
+                conditioner_grids_for_length(
+                    np.zeros((2, 3)), n_samples, 4, [reverse_permutation(4)]
+                )
 
     def test_cut_to_length(self):
         feats = np.random.default_rng(8).standard_normal((2, 40))
         grids = conditioner_grids_for_length(feats, 16, 4, [reverse_permutation(4)])
         assert grids[0].data.shape == (2, 4, 4)
-        direct = build_conditioner_grid(feats[:, :16], 4, [reverse_permutation(4)])
-        assert np.array_equal(grids[0].data, direct[0].data)
+        for m in range(2):
+            assert np.array_equal(grids[0].data[m], squeeze(feats[m, :16], 4))

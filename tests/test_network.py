@@ -13,7 +13,6 @@ from gridflow.network import (
     init_conv_net,
     net_forward,
     receptive_field,
-    validate_dilations,
     width_dilations,
 )
 from gridflow.verify import measure_height_reach, measure_width_reach
@@ -41,11 +40,6 @@ class TestReceptiveField:
         assert receptive_field(3, [1]) == 3
         assert receptive_field(3, [1, 1]) == 5
         assert receptive_field(2, [1, 2, 4]) == 8
-
-    def test_coverage_warning(self):
-        assert validate_dilations(16, [1] * 8) == []
-        warnings = validate_dilations(64, [1] * 8)
-        assert len(warnings) == 1 and "64" in warnings[0]
 
     def test_width_cycle(self):
         assert width_dilations(8) == [1, 2, 4, 8, 16, 32, 64, 128]
