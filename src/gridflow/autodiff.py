@@ -4,15 +4,20 @@ Eager tape: every op computes its numpy result immediately and, while a tape
 is active, appends a node holding the output, the parent tensors, and a
 backward closure. backward() replays the nodes in exact reverse recording
 order, accumulating gradients in an id-keyed dict, so no gradient state
-leaks between training steps. All intermediate activations stay alive on the
-tape (store-all policy; no checkpointing or freeing).
+leaks between training steps; each node's incoming gradient is dropped once
+the node has used it. Whatever a node's closure keeps stays alive until the
+tape is dropped. For the small ops here that is their inputs; a whole conv
+net is one node (network.net_forward) that keeps only its layer inputs and
+gate outputs.
 
 The op set is exactly what the engine needs: broadcasting arithmetic,
 pointwise nonlinearities, reductions, shape ops, a row shift, a row
-permutation, and dilated 2-D convolution.
+permutation, and dilated 2-D convolution (which runs the mel upsampler).
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -119,6 +124,17 @@ class Tape:
 
 
 _ACTIVE: Tape | None = None
+
+
+@contextmanager
+def paused():
+    """Run ops untaped inside the block; yields the tape that was active, or None."""
+    global _ACTIVE
+    tape, _ACTIVE = _ACTIVE, None
+    try:
+        yield tape
+    finally:
+        _ACTIVE = tape
 
 
 def _record(op: str, out_data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
@@ -447,8 +463,9 @@ def backward(tape: Tape, loss: Tensor | None = None) -> dict[str, np.ndarray]:
 
     Walks the tape in exact reverse recording order. Gradients live in a
     per-call dict keyed by tensor identity, so repeated backward calls and
-    interleaved tapes cannot contaminate each other. Parameters that the
-    loss does not depend on get zero gradients.
+    interleaved tapes cannot contaminate each other. A node's output
+    gradient is freed as soon as the node has passed it on; leaf gradients
+    stay. Parameters that the loss does not depend on get zero gradients.
     """
     if loss is None:
         loss = tape.loss
@@ -456,7 +473,7 @@ def backward(tape: Tape, loss: Tensor | None = None) -> dict[str, np.ndarray]:
         raise ValueError("no loss tensor recorded on this tape")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(tape.nodes):
-        g = grads.get(id(node.out))
+        g = grads.pop(id(node.out), None)
         if g is None:
             continue
         parent_grads = node.backward_fn(g)

@@ -8,7 +8,9 @@ with (mu, log sigma) computed by the conv net from the rows strictly above i
 (the net sees the row-shifted grid). The Jacobian is triangular with
 diagonal sigma, so log|det| is just sum(log sigma). Stacks compose several
 flows, permuting grid rows (and the conditioner) between flows. This
-direction, and so likelihood and training, runs on the taped net_forward.
+direction, and so likelihood and training, runs net_forward: the compiled
+kernel over the whole grid, recorded on the tape as one node per flow when
+gradients are wanted.
 
 The sampling direction inverts row by row: row i of X needs only rows < i,
 so h sequential net evaluations reconstruct the grid exactly. Both sampling
@@ -16,9 +18,8 @@ engines run the tape-free compiled_forward and divide by floored_sigma: the
 naive reference here re-runs it over the whole grid for every row, and the
 queued engine (synth.py) runs it on one row through per-layer ring buffers.
 
-Also here: loop-built 1-D reference transforms (fully autoregressive, and
-two-half bipartite) used as equivalence oracles for the degenerate grid
-shapes, plus the bipartite-as-autoregressive reduction.
+Also here: the loop-built, fully autoregressive 1-D reference transform
+that `verify` compares the degenerate h = n grid against.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _conds(conds, stack: FlowStack):
 
 
 # ---------------------------------------------------------------------------
-# 1-D reference transforms (equivalence oracles for degenerate grid shapes)
+# 1-D reference transform (equivalence oracle for the degenerate h = n grid)
 
 
 def af_reference_inverse(x: np.ndarray, mu_sigma) -> tuple[np.ndarray, float]:
@@ -214,51 +215,3 @@ def af_reference_inverse(x: np.ndarray, mu_sigma) -> tuple[np.ndarray, float]:
         z[t] = x[t] * sigma_t + mu_t
         log_det += np.log(sigma_t)
     return z, float(log_det)
-
-
-def af_reference_forward(z: np.ndarray, mu_sigma) -> np.ndarray:
-    """Sample-by-sample inversion of af_reference_inverse."""
-    z = np.asarray(z, dtype=np.float64)
-    x = np.empty_like(z)
-    for t in range(len(z)):
-        mu_t, sigma_t = mu_sigma(x[:t])
-        x[t] = (z[t] - mu_t) / sigma_t
-    return x
-
-
-def bipartite_reference(
-    x_a: np.ndarray, x_b: np.ndarray, mu_sigma_b
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Two-half coupling: z_a = x_a, z_b = x_b * sigma_b(x_a) + mu_b(x_a)."""
-    x_a = np.asarray(x_a, dtype=np.float64)
-    mu_b, sigma_b = mu_sigma_b(x_a)
-    z_b = np.asarray(x_b, dtype=np.float64) * sigma_b + mu_b
-    return x_a.copy(), z_b, float(np.sum(np.log(sigma_b)))
-
-
-def bipartite_reference_forward(
-    z_a: np.ndarray, z_b: np.ndarray, mu_sigma_b
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-shot inversion of bipartite_reference (no sequential loop)."""
-    x_a = np.asarray(z_a, dtype=np.float64)
-    mu_b, sigma_b = mu_sigma_b(x_a)
-    return x_a.copy(), (np.asarray(z_b, dtype=np.float64) - mu_b) / sigma_b
-
-
-def bipartite_as_autoregressive(n_a: int, mu_sigma_b):
-    """Express the two-half coupling as a constrained autoregressive rule.
-
-    Positions t < n_a get (mu, sigma) = (0, 1); later positions use only the
-    first n_a prefix entries. Feeding this to af_reference_inverse on the
-    a-then-b ordering reproduces the coupling exactly.
-    """
-
-    def mu_sigma(prefix: np.ndarray):
-        t = len(prefix)
-        if t < n_a:
-            return 0.0, 1.0
-        mu_b, sigma_b = mu_sigma_b(prefix[:n_a])
-        idx = t - n_a
-        return mu_b[idx], sigma_b[idx]
-
-    return mu_sigma

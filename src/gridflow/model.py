@@ -83,7 +83,19 @@ def permutation_schedule(strategy: str, n_flows: int, h: int) -> list[Permutatio
 
 def build_model(config: ModelConfig, seed: int = 0, dtype=np.float32) -> Model:
     """Construct a freshly initialized model; the flow starts as the identity."""
-    rng = np.random.default_rng(seed)
+    return _assemble(config, np.random.default_rng(seed), dtype, seed)
+
+
+class _NoDraws:
+    """Stands in for the generator where every value is overwritten next: zeros."""
+
+    @staticmethod
+    def standard_normal(shape):
+        return np.zeros(shape, dtype=np.float32)
+
+
+def _assemble(config: ModelConfig, rng, dtype, seed: int) -> Model:
+    """Every parameter, named and shaped from config, its values drawn from rng."""
     dil_h = config.dilations_h or default_dilations(
         config.height, config.n_layers, config.kernel_h
     )
@@ -233,7 +245,8 @@ def load_checkpoint(base_path, dtype=np.float32) -> Model:
     if "model_config" not in manifest:
         raise CheckpointError("manifest has no model_config")
     config = config_from_dict(manifest["model_config"])
-    model = build_model(config, seed=int(manifest.get("seed", 0)), dtype=dtype)
+    # the file supplies every value, so the skeleton draws none
+    model = _assemble(config, _NoDraws(), dtype, int(manifest.get("seed", 0)))
     model.step = int(manifest.get("train_step", 0))
     for p in model.parameters():
         if p.name not in tensors:

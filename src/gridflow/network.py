@@ -11,9 +11,13 @@ Weights use the w = g * v / ||v|| magnitude/direction form, with ||v|| taken
 per output channel. The zero-initialized output head stays a plain weight:
 the decomposition cannot represent v = 0.
 
-net_forward is the taped forward that likelihood and training differentiate.
-Sampling runs compiled_forward instead, a tape-free numpy forward over a net
-that compile_net has materialized once; net_forward is its reference.
+Every forward runs compiled_forward, a numpy forward over a net that
+compile_net has materialized once (weight norm applied, each filter
+flattened for one GEMM per layer). The samplers call it directly.
+net_forward, which likelihood and training call, wraps it as one tape node:
+while a tape records, that node keeps each layer's input and gate outputs,
+and its hand-written backward rebuilds each layer's tap columns from the
+saved input. The op-by-op taped net lives on in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -197,61 +201,8 @@ def init_conv_net(
     )
 
 
-def net_forward(
-    x_shifted,
-    cond,
-    params: ConvNetParams,
-    collect_hidden: bool = False,
-):
-    """Map a row-shifted (h, w) grid to per-entry (mu, log_sigma).
-
-    `cond` is an optional (M, h, w) conditioner grid added through each
-    layer's 1x1 projection before the gate. With collect_hidden=True also
-    returns the list of per-layer input grids (the rows the synthesis queues
-    cache).
-    """
-    xt = x_shifted if isinstance(x_shifted, Tensor) else Tensor(np.asarray(x_shifted))
-    h, w = xt.data.shape[-2], xt.data.shape[-1]
-    kh, kw = params.kernel_h, params.kernel_w
-    r_ch = params.residual_channels
-    x = ad.conv2d(
-        ad.reshape(xt, (1, h, w)), params.input_proj.tensor(), params.input_bias
-    )
-    hidden = []
-    skip = None
-    for layer in params.layers:
-        if collect_hidden:
-            hidden.append(x.data)
-        pad_h = (kh - 1) * layer.dilation_h
-        pad_w = ((kw - 1) // 2) * layer.dilation_w
-        pre = ad.conv2d(
-            x,
-            layer.filter.tensor(),
-            layer.bias,
-            dilation=(layer.dilation_h, layer.dilation_w),
-            pad=((pad_h, 0), (pad_w, pad_w)),
-        )
-        if cond is not None:
-            if layer.cond_proj is None:
-                raise ValidationError("net has no conditioner projections but cond given")
-            pre = pre + ad.conv2d(cond, layer.cond_proj.tensor())
-        gate_a = ad.narrow(pre, 0, 0, r_ch)
-        gate_b = ad.narrow(pre, 0, r_ch, r_ch)
-        hid = ad.tanh(gate_a) * ad.sigmoid(gate_b)
-        x = x + ad.conv2d(hid, layer.res_proj.tensor(), layer.res_bias)
-        s = ad.conv2d(hid, layer.skip_proj.tensor(), layer.skip_bias)
-        skip = s if skip is None else skip + s
-    head = ad.conv2d(ad.relu(skip), params.skip_head.tensor(), params.skip_head_bias)
-    out = ad.conv2d(ad.relu(head), params.out_head, params.out_head_bias)
-    mu = ad.reshape(ad.narrow(out, 0, 0, 1), (h, w))
-    log_sigma = ad.reshape(ad.narrow(out, 0, 1, 1), (h, w))
-    if collect_hidden:
-        return mu, log_sigma, hidden
-    return mu, log_sigma
-
-
 # ---------------------------------------------------------------------------
-# compiled numpy forward, shared by both sampling engines
+# compiled numpy forward, shared by the samplers and net_forward
 
 
 @dataclass
@@ -348,8 +299,29 @@ def _width_taps(taps: np.ndarray, kw: int, dw: int) -> np.ndarray:
     return cols
 
 
-def compiled_forward(cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=grid_taps):
-    """Tape-free net_forward: row-shifted (n, w) rows -> (mu, log_sigma), each (n, w).
+def _delays(kh: int, dh: int) -> list[int]:
+    """Rows above a layer's output row that its height taps read, oldest first."""
+    return [(kh - 1 - a) * dh for a in range(kh)]
+
+
+def _scatter_taps(dcols: np.ndarray, dx: np.ndarray, delays, dw: int) -> None:
+    """Adjoint of _width_taps(grid_taps(...)): add (kh, kw, C, n, w) tap grads into dx."""
+    n, w = dx.shape[1:]
+    pad = (dcols.shape[1] - 1) // 2 * dw
+    for a, d in enumerate(delays):
+        if d >= n:
+            continue
+        for b in range(dcols.shape[1]):
+            off = b * dw - pad
+            lo, hi = max(0, -off), min(w, w - off)
+            if lo < hi:
+                dx[:, : n - d, lo + off : hi + off] += dcols[a, b, :, d:, lo:hi]
+
+
+def compiled_forward(
+    cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=grid_taps, saved=None
+):
+    """Tape-free forward: row-shifted (n, w) rows -> (mu, log_sigma), each (n, w).
 
     Layer li's height taps come from taps(li, x, delays), where x is the
     layer's (R, n, w) input for these rows and delays lists, oldest first,
@@ -357,6 +329,9 @@ def compiled_forward(cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=g
     above the first grid row. The default reads them from x itself, so
     `rows` is the whole shifted grid; the queued sampler passes one row and
     reads its ring buffers. cond_rows holds cond_biases for the same rows.
+    If `saved` is a list, each layer's (input, tanh gate, sigmoid gate) is
+    appended to it, then (skip sum, head before its ReLU): what
+    net_forward's backward reads.
     """
     n, w = rows.shape
     kh, kw = cnet.kernel_h, cnet.kernel_w
@@ -364,14 +339,127 @@ def compiled_forward(cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=g
     skip = 0.0
     for li, layer in enumerate(cnet.layers):
         r_ch = layer.res_w.shape[0]
-        hs = taps(li, x, [(kh - 1 - a) * layer.dilation_h for a in range(kh)])
+        hs = taps(li, x, _delays(kh, layer.dilation_h))
         cols = _width_taps(hs, kw, layer.dilation_w).reshape(-1, n * w)
         pre = (layer.filt @ cols).reshape(2 * r_ch, n, w) + layer.bias[:, None, None]
         if cond_rows is not None:
             pre = pre + cond_rows[li]
-        hid = (np.tanh(pre[:r_ch]) * ad.sigmoid(pre[r_ch:]).data).reshape(r_ch, n * w)
+        gate_t, gate_s = np.tanh(pre[:r_ch]), ad.sigmoid(pre[r_ch:]).data
+        if saved is not None:
+            saved.append((x, gate_t, gate_s))
+        hid = (gate_t * gate_s).reshape(r_ch, n * w)
         x = x + (layer.res_w @ hid + layer.res_b[:, None]).reshape(r_ch, n, w)
         skip = skip + layer.skip_w @ hid + layer.skip_b[:, None]
     head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
+    if saved is not None:
+        saved.append((skip, head))
     out = cnet.out_w @ np.maximum(head, 0.0) + cnet.out_b[:, None]
     return out[0].reshape(n, w), out[1].reshape(n, w)
+
+
+# ---------------------------------------------------------------------------
+# the differentiable net: one tape node with a hand-written backward
+
+
+def net_forward(x_shifted, cond, params: ConvNetParams) -> tuple[Tensor, Tensor]:
+    """Map a row-shifted (h, w) grid to per-entry (mu, log_sigma) Tensors.
+
+    `cond` is an optional (M, h, w) conditioner grid added through each
+    layer's 1x1 projection before the gate. The forward is compiled_forward
+    over the whole grid, with the tape paused. While a tape records, the
+    whole net is then one node whose backward returns the gradients of the
+    grid, the conditioner and every parameter.
+    """
+    xt = x_shifted if isinstance(x_shifted, Tensor) else Tensor(np.asarray(x_shifted))
+    ct = cond if cond is None or isinstance(cond, Tensor) else Tensor(np.asarray(cond))
+    rows = xt.data
+    with ad.paused() as tape:
+        cnet = compile_net(params)
+        saved = None if tape is None else []
+        mu, log_sigma = compiled_forward(cnet, rows, cond_biases(cnet, ct), saved=saved)
+    if tape is None:
+        return Tensor(mu), Tensor(log_sigma)
+    leaves = params.parameters()
+
+    def bk(g):
+        d_rows, d_cond, grads = _net_backward(
+            params, cnet, saved, rows, None if ct is None else ct.data, g
+        )
+        d_params = tuple(grads.get(id(p)) for p in leaves)
+        return ((d_rows,) if ct is None else (d_rows, d_cond)) + d_params
+
+    parents = ((xt,) if ct is None else (xt, ct)) + tuple(leaves)
+    out = ad._record("net_forward", np.stack([mu, log_sigma]), parents, bk)
+    h, w = rows.shape
+    return (
+        ad.reshape(ad.narrow(out, 0, 0, 1), (h, w)),
+        ad.reshape(ad.narrow(out, 0, 1, 1), (h, w)),
+    )
+
+
+def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
+    """Backward of net_forward for the (2, h, w) gradient of (mu, log_sigma).
+
+    Walks from the heads through the layers to the input projection. Returns
+    (grid gradient, conditioner gradient or None, {id(parameter): gradient}).
+    """
+    n, w = rows.shape
+    m = n * w
+    kh, kw = cnet.kernel_h, cnet.kernel_w
+    grads: dict[int, np.ndarray] = {}
+
+    def weight(nw: NormedWeight, dw: np.ndarray) -> None:
+        # w = g * u with u = v / ||v||: dg = sum(dw * u), dv = (g / ||v||) (dw - u dg)
+        dw = dw.reshape(nw.v.data.shape)
+        if nw.g is None:
+            grads[id(nw.v)] = dw
+            return
+        v = nw.v.data
+        axes = tuple(range(1, v.ndim))
+        norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
+        u = v / norm
+        dg = (dw * u).sum(axis=axes, keepdims=True)
+        grads[id(nw.g)] = dg.reshape(-1)
+        grads[id(nw.v)] = (nw.g.data.reshape(norm.shape) / norm) * (dw - u * dg)
+
+    d_out = g.reshape(2, m)
+    skip, head = saved[-1]
+    grads[id(net.out_head)] = (d_out @ np.maximum(head, 0.0).T).reshape(net.out_head.data.shape)
+    grads[id(net.out_head_bias)] = d_out.sum(axis=1)
+    d_head = (cnet.out_w.T @ d_out) * (head > 0)
+    weight(net.skip_head, d_head @ np.maximum(skip, 0.0).T)
+    grads[id(net.skip_head_bias)] = d_head.sum(axis=1)
+    d_skip = (cnet.skip_head_w.T @ d_head) * (skip > 0)
+    cond_flat = None if cond is None else cond.reshape(cond.shape[0], m)
+    d_cond = None if cond is None else np.zeros_like(cond_flat)
+    d_x = np.zeros_like(saved[0][0])  # gradient of the residual stream, (R, n, w)
+    for layer, cl, (x, gate_t, gate_s) in zip(
+        reversed(net.layers), reversed(cnet.layers), reversed(saved[:-1])
+    ):
+        r_ch = cl.res_w.shape[0]
+        gate_t, gate_s = gate_t.reshape(r_ch, m), gate_s.reshape(r_ch, m)
+        hid = gate_t * gate_s
+        d_res = d_x.reshape(r_ch, m)
+        weight(layer.skip_proj, d_skip @ hid.T)
+        grads[id(layer.skip_bias)] = d_skip.sum(axis=1)
+        weight(layer.res_proj, d_res @ hid.T)
+        grads[id(layer.res_bias)] = d_res.sum(axis=1)
+        d_hid = cl.skip_w.T @ d_skip + cl.res_w.T @ d_res
+        d_pre = np.concatenate(
+            [d_hid * gate_s * (1.0 - gate_t * gate_t), d_hid * gate_t * gate_s * (1.0 - gate_s)]
+        )
+        grads[id(layer.bias)] = d_pre.sum(axis=1)
+        if cond is not None:
+            weight(layer.cond_proj, d_pre @ cond_flat.T)
+            d_cond += cl.cond.T @ d_pre
+        delays = _delays(kh, layer.dilation_h)
+        cols = _width_taps(grid_taps(0, x, delays), kw, layer.dilation_w).reshape(-1, m)
+        d_filt = (d_pre @ cols.T).reshape(2 * r_ch, kh, kw, r_ch)
+        weight(layer.filter, d_filt.transpose(0, 3, 1, 2))
+        d_cols = (cl.filt.T @ d_pre).reshape(kh, kw, r_ch, n, w)
+        _scatter_taps(d_cols, d_x, delays, layer.dilation_w)
+    d_x = d_x.reshape(-1, m)
+    weight(net.input_proj, d_x @ rows.reshape(m))
+    grads[id(net.input_bias)] = d_x.sum(axis=1)
+    d_rows = (cnet.input_w @ d_x).reshape(n, w)
+    return d_rows, None if cond is None else d_cond.reshape(cond.shape), grads

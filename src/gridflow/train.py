@@ -1,10 +1,13 @@
 """Maximum-likelihood training: Adam, clip sampling, and the step loop.
 
 The loss is the negative per-dimension log-likelihood averaged over the
-batch; gradients come from the tape. Adam carries per-parameter first and
-second moments with bias correction. Steps whose gradients contain any
-non-finite value are skipped (counted, moments untouched); a non-finite
-loss aborts the run after dumping the offending batch for replay.
+batch. Gradients come from the tape, one clip at a time: each clip is
+recorded and backpropagated on its own tape, so a step holds one clip's
+activations (per flow, each layer's input and gate outputs). Adam carries
+per-parameter first and second moments with bias correction. Steps whose
+gradients contain any non-finite value are skipped (counted, moments
+untouched); a non-finite loss aborts the run after dumping the offending
+batch for replay.
 """
 
 from __future__ import annotations
@@ -153,6 +156,31 @@ def clip_loss_terms(model: Model, utt: Utterance, start: int, clip_length: int):
     return (log_det + base) * (-1.0 / n_dims)
 
 
+def batch_gradients(model: Model, batch, clip_length: int):
+    """Mean clip loss of a batch and its gradient per parameter name.
+
+    Each clip is recorded and backpropagated on its own tape, so a step
+    holds one clip's activations at a time; the per-clip gradients are
+    summed and divided by the batch size.
+    """
+    params = model.parameters()
+    total, grads = 0.0, None
+    for utt, start in batch:
+        loss, tape = ad.record_forward(
+            lambda: clip_loss_terms(model, utt, start, clip_length), params
+        )
+        clip_grads = ad.backward(tape)
+        del tape
+        total += float(loss.data)
+        if grads is None:
+            grads = clip_grads
+        else:
+            # not in place: the tape may hand two parameters one array
+            grads = {name: g + clip_grads[name] for name, g in grads.items()}
+    scale = 1.0 / len(batch)
+    return total * scale, {name: g * scale for name, g in grads.items()}
+
+
 def grad_global_norm(grads: dict[str, np.ndarray]) -> float:
     total = 0.0
     for g in grads.values():
@@ -188,29 +216,21 @@ def train_loop(
                 for _ in range(config.batch_size)
             ]
 
-            def loss_fn():
-                total = None
-                for utt, start in batch:
-                    term = clip_loss_terms(model, utt, start, config.clip_length)
-                    total = term if total is None else total + term
-                return total * (1.0 / len(batch))
-
             t0 = time.perf_counter()
             try:
-                loss, tape = ad.record_forward(loss_fn, params)
+                loss, grads = batch_gradients(model, batch, config.clip_length)
             except NumericalError:
                 if out_dir is not None:
                     _dump_batch(out_dir, step, batch, config.clip_length)
                 raise
-            grads = ad.backward(tape)
             adam_step(params, grads, state, config)
             model.step += 1
             elapsed = time.perf_counter() - t0
             if step % config.log_every == 0 or step == config.max_steps:
                 record = {
                     "step": model.step,
-                    "loss": float(loss.data),
-                    "loglik_per_dim": -float(loss.data),
+                    "loss": loss,
+                    "loglik_per_dim": -loss,
                     "grad_norm": grad_global_norm(grads),
                     "seconds_per_step": elapsed,
                     "skipped_updates": state.skipped,

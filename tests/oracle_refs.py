@@ -1,15 +1,68 @@
-"""Shared test oracles: loop-based 1-D net evaluators, a scatter-form
-transposed conv, and FD Jacobians.
+"""Shared test oracles: the op-by-op taped conv net, loop-based 1-D net
+evaluators and reference transforms, a scatter-form transposed conv, and FD
+Jacobians.
 
-These evaluate the conv stack one position at a time over the raw weight
-arrays, sharing no code with the production forward pass. Used by both the
-flow unit tests and the acceptance suite for the degenerate-grid claims,
-and by the conditioner tests for the mel upsampler.
+The taped net builds the conv stack from the autodiff ops (conv2d, narrow,
+tanh, sigmoid, relu), so its gradients come from the tape's generic
+backward; the fused net_forward and its hand-written backward are compared
+against it. The 1-D evaluators run the stack one position at a time over the
+raw weight arrays, sharing no code with the production forward pass. Used by
+the network, flow and synthesis tests, the acceptance suite for the
+degenerate-grid claims, and the conditioner tests for the mel upsampler.
 """
 
 import numpy as np
 
+from gridflow import autodiff as ad
+from gridflow.autodiff import Tensor
+from gridflow.errors import ValidationError
 from gridflow.network import init_conv_net
+
+
+def taped_net_forward(x_shifted, cond, params, collect_hidden=False):
+    """The conv net recorded op by op: row-shifted (h, w) grid -> (mu, log_sigma).
+
+    `cond` is an optional (M, h, w) conditioner grid added through each
+    layer's 1x1 projection before the gate. With collect_hidden=True also
+    returns the list of per-layer input grids (the rows the synthesis queues
+    cache).
+    """
+    xt = x_shifted if isinstance(x_shifted, Tensor) else Tensor(np.asarray(x_shifted))
+    h, w = xt.data.shape[-2], xt.data.shape[-1]
+    kh, kw = params.kernel_h, params.kernel_w
+    r_ch = params.residual_channels
+    x = ad.conv2d(ad.reshape(xt, (1, h, w)), params.input_proj.tensor(), params.input_bias)
+    hidden = []
+    skip = None
+    for layer in params.layers:
+        if collect_hidden:
+            hidden.append(x.data)
+        pad_h = (kh - 1) * layer.dilation_h
+        pad_w = ((kw - 1) // 2) * layer.dilation_w
+        pre = ad.conv2d(
+            x,
+            layer.filter.tensor(),
+            layer.bias,
+            dilation=(layer.dilation_h, layer.dilation_w),
+            pad=((pad_h, 0), (pad_w, pad_w)),
+        )
+        if cond is not None:
+            if layer.cond_proj is None:
+                raise ValidationError("net has no conditioner projections but cond given")
+            pre = pre + ad.conv2d(cond, layer.cond_proj.tensor())
+        gate_a = ad.narrow(pre, 0, 0, r_ch)
+        gate_b = ad.narrow(pre, 0, r_ch, r_ch)
+        hid = ad.tanh(gate_a) * ad.sigmoid(gate_b)
+        x = x + ad.conv2d(hid, layer.res_proj.tensor(), layer.res_bias)
+        s = ad.conv2d(hid, layer.skip_proj.tensor(), layer.skip_bias)
+        skip = s if skip is None else skip + s
+    head = ad.conv2d(ad.relu(skip), params.skip_head.tensor(), params.skip_head_bias)
+    out = ad.conv2d(ad.relu(head), params.out_head, params.out_head_bias)
+    mu = ad.reshape(ad.narrow(out, 0, 0, 1), (h, w))
+    log_sigma = ad.reshape(ad.narrow(out, 0, 1, 1), (h, w))
+    if collect_hidden:
+        return mu, log_sigma, hidden
+    return mu, log_sigma
 
 
 def rigged_net(seed, channels=3, layers=2, kernel_h=3, kernel_w=3, dil_h=None, dil_w=None):
@@ -148,6 +201,54 @@ def upsample_reference(frames, kernels, biases, stride, slope):
         y = conv_transpose_scatter(feat, k, stride, (1, stride // 2)) + b
         feat = np.where(y >= 0, y, slope * y)
     return feat
+
+
+# ---------------------------------------------------------------------------
+# 1-D reference transforms (equivalence oracles for degenerate grid shapes)
+
+
+def af_reference_forward(z, mu_sigma):
+    """Sample-by-sample inversion of flow.af_reference_inverse."""
+    z = np.asarray(z, dtype=np.float64)
+    x = np.empty_like(z)
+    for t in range(len(z)):
+        mu_t, sigma_t = mu_sigma(x[:t])
+        x[t] = (z[t] - mu_t) / sigma_t
+    return x
+
+
+def bipartite_reference(x_a, x_b, mu_sigma_b):
+    """Two-half coupling: z_a = x_a, z_b = x_b * sigma_b(x_a) + mu_b(x_a)."""
+    x_a = np.asarray(x_a, dtype=np.float64)
+    mu_b, sigma_b = mu_sigma_b(x_a)
+    z_b = np.asarray(x_b, dtype=np.float64) * sigma_b + mu_b
+    return x_a.copy(), z_b, float(np.sum(np.log(sigma_b)))
+
+
+def bipartite_reference_forward(z_a, z_b, mu_sigma_b):
+    """One-shot inversion of bipartite_reference (no sequential loop)."""
+    x_a = np.asarray(z_a, dtype=np.float64)
+    mu_b, sigma_b = mu_sigma_b(x_a)
+    return x_a.copy(), (np.asarray(z_b, dtype=np.float64) - mu_b) / sigma_b
+
+
+def bipartite_as_autoregressive(n_a, mu_sigma_b):
+    """Express the two-half coupling as a constrained autoregressive rule.
+
+    Positions t < n_a get (mu, sigma) = (0, 1); later positions use only the
+    first n_a prefix entries. Feeding this to af_reference_inverse on the
+    a-then-b ordering reproduces the coupling exactly.
+    """
+
+    def mu_sigma(prefix):
+        t = len(prefix)
+        if t < n_a:
+            return 0.0, 1.0
+        mu_b, sigma_b = mu_sigma_b(prefix[:n_a])
+        idx = t - n_a
+        return mu_b[idx], sigma_b[idx]
+
+    return mu_sigma
 
 
 def fd_jacobian(fn, x0, eps=1e-6):

@@ -9,7 +9,13 @@ import time
 
 import numpy as np
 import pytest
-from oracle_refs import eval_net_cols_1d, eval_net_rows_1d, fd_jacobian, rigged_net
+from oracle_refs import (
+    bipartite_reference,
+    eval_net_cols_1d,
+    eval_net_rows_1d,
+    fd_jacobian,
+    rigged_net,
+)
 
 from gridflow import autodiff as ad
 from gridflow.conditioner import MelConfig, MelSpectrogram
@@ -17,7 +23,6 @@ from gridflow.flow import (
     FlowStack,
     SynthStats,
     af_reference_inverse,
-    bipartite_reference,
     flow_inverse,
     stack_forward,
     stack_inverse,

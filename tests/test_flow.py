@@ -8,16 +8,21 @@ agreement between the two routes is evidence, not tautology.
 
 import numpy as np
 import pytest
-from oracle_refs import eval_net_cols_1d, eval_net_rows_1d, fd_jacobian, rigged_net
+from oracle_refs import (
+    af_reference_forward,
+    bipartite_as_autoregressive,
+    bipartite_reference,
+    bipartite_reference_forward,
+    eval_net_cols_1d,
+    eval_net_rows_1d,
+    fd_jacobian,
+    rigged_net,
+)
 
 from gridflow.errors import NumericalError
 from gridflow.flow import (
     FlowStack,
-    af_reference_forward,
     af_reference_inverse,
-    bipartite_as_autoregressive,
-    bipartite_reference,
-    bipartite_reference_forward,
     flow_forward,
     flow_inverse,
     stack_forward,

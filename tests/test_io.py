@@ -214,6 +214,20 @@ class TestCheckpoint:
         assert r1.total == r2.total
         assert r1.log_det == r2.log_det
 
+    def test_load_draws_no_random_values(self, tmp_path, monkeypatch):
+        model = self._model(seed=3)
+        save_checkpoint(model, tmp_path / "ck")
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("load_checkpoint asked for a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        back = load_checkpoint(tmp_path / "ck")
+        assert [p.name for p in back.parameters()] == [p.name for p in model.parameters()]
+        for p_old, p_new in zip(model.parameters(), back.parameters()):
+            assert p_new.data.dtype == np.float32
+            assert np.array_equal(p_old.data, p_new.data), p_old.name
+
     def test_missing_tensor_named(self, tmp_path):
         model = self._model()
         save_checkpoint(model, tmp_path / "ck")

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from oracle_refs import taped_net_forward
 
+import gridflow.flow
 from gridflow import autodiff as ad
+from gridflow.conditioner import MelConfig, MelSpectrogram
 from gridflow.errors import ValidationError
+from gridflow.flow import stack_loglik_terms
+from gridflow.io import ModelConfig
+from gridflow.model import build_model, conditioner_grids
 from gridflow.network import (
     compile_net,
     compiled_forward,
@@ -156,46 +162,146 @@ class TestWeightNorm:
         )
 
 
-class TestCompiledForward:
-    # (height, width, kernel_h, kernel_w, dilations_h, dilations_w, cond channels)
-    @pytest.mark.parametrize(
-        "h,w,kh,kw,dil_h,dil_w,cond_ch",
-        [
-            (8, 6, 3, 3, [1, 1], [1, 1], None),
-            (8, 6, 3, 3, [1, 1], [1, 2], 5),
-            (16, 12, 3, 3, [1, 2, 4], [1, 2, 4], None),
-            (8, 5, 3, 1, [1, 2], [1, 1], None),
-            (4, 7, 1, 3, [1, 1], [1, 2], 3),
-            (3, 4, 3, 3, [1, 4], [2, 8], 2),  # shorter and narrower than the reach
-        ],
-        ids=["plain", "conditioned", "dilated", "kernel_w1", "kernel_h1", "short_grid"],
+# (height, width, kernel_h, kernel_w, dilations_h, dilations_w, cond channels)
+NET_VARIANTS = pytest.mark.parametrize(
+    "h,w,kh,kw,dil_h,dil_w,cond_ch",
+    [
+        (8, 6, 3, 3, [1, 1], [1, 1], None),
+        (8, 6, 3, 3, [1, 1], [1, 2], 5),
+        (16, 12, 3, 3, [1, 2, 4], [1, 2, 4], None),
+        (8, 5, 3, 1, [1, 2], [1, 1], None),
+        (4, 7, 1, 3, [1, 1], [1, 2], 3),
+        (3, 4, 3, 3, [1, 4], [2, 8], 2),  # shorter and narrower than the reach
+    ],
+    ids=["plain", "conditioned", "dilated", "kernel_w1", "kernel_h1", "short_grid"],
+)
+
+
+def _random_net(rng, kh, kw, dil_h, dil_w, cond_ch):
+    net = init_conv_net(
+        4,
+        len(dil_h),
+        kernel_h=kh,
+        kernel_w=kw,
+        dilations_h=dil_h,
+        dilations_w=dil_w,
+        cond_channels=cond_ch,
+        rng=rng,
+        dtype=np.float64,
     )
+    # every parameter random, and g off ||v||, so no term is trivially zero
+    for p in net.parameters():
+        p.data = rng.standard_normal(p.data.shape) * 0.4
+        if p.name.endswith(".g"):
+            p.data = np.abs(p.data) + 0.5
+    return net
+
+
+def _directions_off_zero(params):
+    # the taped chain's rounding in dv grows like g / ||v||; with one-entry
+    # norm groups (the input projection) a draw near 0 lifts it past 1e-12
+    for p in params:
+        if p.name.endswith(".v"):
+            p.data = np.sign(p.data) * (np.abs(p.data) + 0.1)
+
+
+def _taped_loss_and_grads(loss_fn, params):
+    loss, tape = ad.record_forward(loss_fn, params)
+    return float(loss.data), ad.backward(tape)
+
+
+class TestCompiledForward:
+    @NET_VARIANTS
     def test_full_grid_matches_taped_reference(self, h, w, kh, kw, dil_h, dil_w, cond_ch):
         rng = np.random.default_rng(24)
-        net = init_conv_net(
-            4,
-            len(dil_h),
-            kernel_h=kh,
-            kernel_w=kw,
-            dilations_h=dil_h,
-            dilations_w=dil_w,
-            cond_channels=cond_ch,
-            rng=rng,
-            dtype=np.float64,
-        )
-        # every parameter random, and g off ||v||, so no term is trivially zero
-        for p in net.parameters():
-            p.data = rng.standard_normal(p.data.shape) * 0.4
-            if p.name.endswith(".g"):
-                p.data = np.abs(p.data) + 0.5
+        net = _random_net(rng, kh, kw, dil_h, dil_w, cond_ch)
         x = rng.standard_normal((h, w))
         cond = None if cond_ch is None else rng.standard_normal((cond_ch, h, w))
-        mu_ref, ls_ref = net_forward(x, cond, net)
+        mu_ref, ls_ref = taped_net_forward(x, cond, net)
         cnet = compile_net(net)
         mu, ls = compiled_forward(cnet, x, cond_biases(cnet, cond))
         assert np.abs(mu - mu_ref.data).max() <= 1e-12
         assert np.abs(ls - ls_ref.data).max() <= 1e-12
         assert np.abs(ls_ref.data).max() > 0.1
+
+
+class TestNetBackward:
+    """net_forward's hand-written backward against the op-by-op taped net."""
+
+    @NET_VARIANTS
+    def test_gradients_match_taped_reference(self, h, w, kh, kw, dil_h, dil_w, cond_ch):
+        rng = np.random.default_rng(25)
+        net = _random_net(rng, kh, kw, dil_h, dil_w, cond_ch)
+        _directions_off_zero(net.parameters())
+        # the grid and conditioner as leaves, so backward reports their gradients
+        x = ad.Parameter(rng.standard_normal((h, w)), "grid")
+        cond = None
+        if cond_ch is not None:
+            cond = ad.Parameter(rng.standard_normal((cond_ch, h, w)), "cond")
+        a, b = rng.standard_normal((2, h, w))
+        params = net.parameters() + [x] + ([] if cond is None else [cond])
+        results = []
+        for forward in (net_forward, taped_net_forward):
+
+            def loss_fn():
+                mu, ls = forward(x, cond, net)
+                return ad.sum_(mu * a) + ad.sum_(ls * b)
+
+            results.append(_taped_loss_and_grads(loss_fn, params))
+        (loss, grads), (loss_ref, grads_ref) = results
+        assert abs(loss - loss_ref) <= 1e-12
+        assert grads.keys() == grads_ref.keys()
+        for name, g_ref in grads_ref.items():
+            assert np.abs(grads[name] - g_ref).max() <= 1e-12, name
+        assert np.abs(grads["grid"]).max() > 0.1
+        if cond is not None:
+            assert np.abs(grads["cond"]).max() > 0.1
+
+    def test_conditioned_stack_through_upsampler(self, monkeypatch):
+        # three conditioned flows, the upsampler on the tape, reversed rows
+        cfg = ModelConfig(
+            height=4,
+            n_flows=3,
+            n_layers=2,
+            residual_channels=4,
+            conditioned=True,
+            permutation_strategy="reverse",
+            mel=MelConfig(n_mels=6, n_fft=64, hop=16, win=64),
+        )
+        model = build_model(cfg, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(26)
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.data.shape) * 0.3
+            if p.name.endswith(".g"):
+                p.data = np.abs(p.data) + 0.5
+        _directions_off_zero(model.parameters())
+        grid = rng.standard_normal((4, 12))
+        mel = MelSpectrogram(rng.standard_normal((3, 6)) * 0.5, 22050, cfg.mel)
+        params = model.parameters()
+
+        def loss_fn():
+            conds = conditioner_grids(model, mel, grid.size)
+            _, log_det, base = stack_loglik_terms(grid, conds, model.stack)
+            return log_det + base
+
+        loss, grads = _taped_loss_and_grads(loss_fn, params)
+        monkeypatch.setattr(gridflow.flow, "net_forward", taped_net_forward)
+        loss_ref, grads_ref = _taped_loss_and_grads(loss_fn, params)
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        for name, g_ref in grads_ref.items():
+            assert np.abs(grads[name] - g_ref).max() <= 1e-12, name
+        assert np.abs(grads["upsampler.kernel1.v"]).max() > 1e-3
+
+    def test_untaped_call_records_nothing(self):
+        net = _random_net(np.random.default_rng(27), 3, 3, [1], [1], None)
+        x = np.random.default_rng(28).standard_normal((4, 5))
+        mu, ls = net_forward(x, None, net)
+        assert mu.node_id is None and ls.node_id is None
+        tape = ad.Tape()
+        with tape:
+            net_forward(x, None, net)
+        assert [node.op for node in tape.nodes].count("net_forward") == 1
+        assert "conv2d" not in [node.op for node in tape.nodes]
 
 
 class TestShapes:
@@ -217,11 +323,18 @@ class TestShapes:
         assert ls.data.shape == (32, 7)
 
     def test_collect_hidden_layer_inputs(self):
+        # what the compiled forward saves for the backward: each layer's
+        # input, equal to the taped net's, then the skip sum and head
         net = init_conv_net(3, 4, rng=np.random.default_rng(18), dtype=np.float64)
         x = np.random.default_rng(19).standard_normal((8, 5))
-        mu, ls, hidden = net_forward(x, None, net, collect_hidden=True)
-        assert len(hidden) == 4
-        assert all(hh.shape == (3, 8, 5) for hh in hidden)
+        _, _, hidden = taped_net_forward(x, None, net, collect_hidden=True)
+        saved = []
+        compiled_forward(compile_net(net), x, saved=saved)
+        assert len(hidden) == 4 and len(saved) == 5
+        for hh, (layer_in, gate_t, gate_s) in zip(hidden, saved):
+            assert hh.shape == layer_in.shape == gate_t.shape == gate_s.shape == (3, 8, 5)
+            assert np.abs(layer_in - hh).max() <= 1e-12
+        assert all(a.shape == (3, 40) for a in saved[-1])
 
     def test_conditioner_grid_shape_enforced(self):
         net = init_conv_net(2, 1, rng=np.random.default_rng(20))

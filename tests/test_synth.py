@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracle_refs import taped_net_forward
 
 from gridflow import autodiff as ad
 from gridflow.conditioner import MelConfig, mel_spectrogram
@@ -9,7 +10,7 @@ from gridflow.errors import ValidationError
 from gridflow.flow import FlowStack, SynthStats, stack_forward
 from gridflow.io import ModelConfig
 from gridflow.model import build_model, synthesize
-from gridflow.network import init_conv_net, net_forward
+from gridflow.network import init_conv_net
 from gridflow.signal import (
     Waveform,
     bipartite_reverse_permutation,
@@ -97,7 +98,7 @@ class TestQueueContents:
             out[i] = (z[i] - mu_i) / np.exp(ls_i)
             prev = out[i]
         shifted = ad.shift_down(ad.Tensor(out))
-        _, _, hidden = net_forward(shifted, None, net, collect_hidden=True)
+        _, _, hidden = taped_net_forward(shifted, None, net, collect_hidden=True)
         for ell, layer in enumerate(net.layers):
             cap = (net.kernel_h - 1) * layer.dilation_h
             for delay in range(1, min(cap, h) + 1):
