@@ -6,18 +6,20 @@ backward closure. backward() replays the nodes in exact reverse recording
 order, accumulating gradients in an id-keyed dict, so no gradient state
 leaks between training steps; each node's incoming gradient is dropped once
 the node has used it. Whatever a node's closure keeps stays alive until the
-tape is dropped. For the small ops here that is their inputs; a whole conv
-net is one node (network.net_forward) that keeps only its layer inputs and
-gate outputs.
+tape is dropped. For the small ops here that is their inputs (conv2d keeps
+its stacked columns); a whole conv net is one node (network.net_forward)
+that keeps only its layer inputs and gate outputs.
 
-The op set is exactly what the engine needs: broadcasting arithmetic,
-pointwise nonlinearities, reductions, shape ops, a row shift, a row
-permutation, and dilated 2-D convolution (which runs the mel upsampler).
+The op set is exactly what the engine needs: add, sub, mul, exp, sigmoid,
+leaky ReLU, sums, shape ops, a row shift, a row permutation, and dilated 2-D
+convolution (the mel upsampler) as one GEMM over stacked shifted copies of
+its input, the same columns the compiled conv net (network.py) uses.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,12 +60,6 @@ class Tensor:
 
     def __rmul__(self, other):
         return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
@@ -209,29 +205,6 @@ def mul(a, b) -> Tensor:
     return _record("mul", out, (at, bt), bk)
 
 
-def div(a, b) -> Tensor:
-    at = _wrap(a, like=b if isinstance(b, Tensor) else None)
-    bt = _wrap(b, like=at)
-    out = at.data / bt.data
-
-    def bk(g):
-        return (
-            _unbroadcast(g / bt.data, at.data.shape),
-            _unbroadcast(-g * at.data / (bt.data * bt.data), bt.data.shape),
-        )
-
-    return _record("div", out, (at, bt), bk)
-
-
-def neg(a) -> Tensor:
-    at = _wrap(a)
-
-    def bk(g):
-        return (-g,)
-
-    return _record("neg", -at.data, (at,), bk)
-
-
 # ---------------------------------------------------------------------------
 # pointwise
 
@@ -246,26 +219,6 @@ def exp(a) -> Tensor:
     return _record("exp", out, (at,), bk)
 
 
-def sqrt(a) -> Tensor:
-    at = _wrap(a)
-    out = np.sqrt(at.data)
-
-    def bk(g):
-        return (g / (2.0 * out),)
-
-    return _record("sqrt", out, (at,), bk)
-
-
-def tanh(a) -> Tensor:
-    at = _wrap(a)
-    out = np.tanh(at.data)
-
-    def bk(g):
-        return (g * (1.0 - out * out),)
-
-    return _record("tanh", out, (at,), bk)
-
-
 def sigmoid(a) -> Tensor:
     at = _wrap(a)
     # tanh form: one transcendental, and no overflow at either tail
@@ -275,16 +228,6 @@ def sigmoid(a) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _record("sigmoid", out, (at,), bk)
-
-
-def relu(a) -> Tensor:
-    at = _wrap(a)
-    out = np.maximum(at.data, 0.0)
-
-    def bk(g):
-        return (g * (at.data > 0),)
-
-    return _record("relu", out, (at,), bk)
 
 
 def leaky_relu(a, slope: float) -> Tensor:
@@ -382,54 +325,94 @@ def permute_rows(a, row_map: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution
+# convolution: one GEMM over stacked shifted copies; network.py shares these
 
 
-def conv2d(x, w, bias=None, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
+def tap_offsets(k: int, dilation: int, pad: int) -> tuple[int, ...]:
+    """Where each of k taps reads along one axis: input i + a * dilation - pad."""
+    return tuple(a * dilation - pad for a in range(k))
+
+
+# cached: the samplers ask for the same spans for every layer of every row
+@lru_cache(maxsize=1024)
+def _spans(offsets: tuple[int, ...], n: int, size: int) -> tuple:
+    """(tap, output slice, input slice) of each tap that reads inside an n-long input."""
+    spans = []
+    for a, off in enumerate(offsets):
+        lo, hi = max(0, -off), min(size, n - off)
+        if lo < hi:
+            spans.append((a, slice(lo, hi), slice(lo + off, hi + off)))
+    return tuple(spans)
+
+
+def stack_shifts(x: np.ndarray, offsets: tuple[int, ...], size: int, axis: int) -> np.ndarray:
+    """Zero-filled copies of x: entry i of copy a is x at i + offsets[a], `size` long.
+
+    axis -2 shifts x (C, H, W) into height taps (kh, C, H, W); axis -1 those
+    into (kh, kw, C, H, W) columns, the order of flatten_filter's columns.
+    """
+    if axis == -1:
+        out = np.zeros((x.shape[0], len(offsets)) + x.shape[1:-1] + (size,), dtype=x.dtype)
+        for a, dst, src in _spans(offsets, x.shape[-1], size):
+            out[:, a, ..., dst] = x[..., src]
+    else:
+        out = np.zeros((len(offsets), x.shape[0], size, x.shape[2]), dtype=x.dtype)
+        for a, dst, src in _spans(offsets, x.shape[1], size):
+            out[a, :, dst] = x[:, src]
+    return out
+
+
+def scatter_shifts(d: np.ndarray, offsets, size: int, axis: int) -> np.ndarray:
+    """Adjoint of stack_shifts, for an x that is `size` long on the shifted axis."""
+    if axis == -1:
+        out = np.zeros((d.shape[0],) + d.shape[2:-1] + (size,), dtype=d.dtype)
+        for a, dst, src in _spans(offsets, size, d.shape[-1]):
+            out[..., src] += d[:, a, ..., dst]
+    else:
+        out = np.zeros((d.shape[1], size, d.shape[3]), dtype=d.dtype)
+        for a, dst, src in _spans(offsets, size, d.shape[2]):
+            out[:, src] += d[a, :, dst]
+    return out
+
+
+def flatten_filter(w: np.ndarray) -> np.ndarray:
+    """(O, C, kh, kw) filter -> (O, kh * kw * C) matrix over the stacked columns."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
+def unflatten_filter(m: np.ndarray, shape) -> np.ndarray:
+    """Inverse of flatten_filter for an (O, C, kh, kw) `shape`."""
+    return m.reshape(shape[0], shape[2], shape[3], shape[1]).transpose(0, 3, 1, 2)
+
+
+def conv2d(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
     """Dilated 2-D convolution: x (C,H,W), w (O,C,kh,kw) -> (O,Ho,Wo).
 
     Padding is explicit per side: ((top, bottom), (left, right)). The caller
     chooses top-only height padding for causal stacks and symmetric width
-    padding for same-width output.
+    padding for same-width output. One GEMM forward, one per operand back.
     """
     xt, wt = _wrap(x), _wrap(w)
     xd, wd = xt.data, wt.data
     o_ch, c_ch, kh, kw = wd.shape
     if xd.shape[0] != c_ch:
         raise ValueError(f"channel mismatch: input {xd.shape[0]}, filter {c_ch}")
-    dh, dw = dilation
     (pt, pb), (pl, pr) = pad
-    xp = np.pad(xd, ((0, 0), (pt, pb), (pl, pr))) if (pt or pb or pl or pr) else xd
-    h_out = xp.shape[1] - (kh - 1) * dh
-    w_out = xp.shape[2] - (kw - 1) * dw
-    out = np.zeros((o_ch, h_out, w_out), dtype=xd.dtype)
-    for a in range(kh):
-        for b in range(kw):
-            patch = xp[:, a * dh : a * dh + h_out, b * dw : b * dw + w_out]
-            out += np.tensordot(wd[:, :, a, b], patch, axes=(1, 0))
-    bt = None
-    if bias is not None:
-        bt = _wrap(bias)
-        out += bt.data[:, None, None]
+    _, h, w_in = xd.shape
+    h_out = h + pt + pb - (kh - 1) * dilation[0]
+    w_out = w_in + pl + pr - (kw - 1) * dilation[1]
+    row_offs, col_offs = tap_offsets(kh, dilation[0], pt), tap_offsets(kw, dilation[1], pl)
+    cols = stack_shifts(stack_shifts(xd, row_offs, h_out, -2), col_offs, w_out, -1)
+    wm = flatten_filter(wd)
+    out = (wm @ cols.reshape(-1, h_out * w_out)).reshape(o_ch, h_out, w_out)
 
     def bk(g):
-        g = np.asarray(g)
-        gw = np.empty_like(wd)
-        gxp = np.zeros_like(xp)
-        for a in range(kh):
-            for b in range(kw):
-                patch = xp[:, a * dh : a * dh + h_out, b * dw : b * dw + w_out]
-                gw[:, :, a, b] = np.tensordot(g, patch, axes=([1, 2], [1, 2]))
-                gxp[:, a * dh : a * dh + h_out, b * dw : b * dw + w_out] += np.tensordot(
-                    wd[:, :, a, b], g, axes=(0, 0)
-                )
-        gx = gxp[:, pt : pt + xd.shape[1], pl : pl + xd.shape[2]]
-        if bt is None:
-            return gx, gw
-        return gx, gw, g.sum(axis=(1, 2))
+        g = np.asarray(g).reshape(o_ch, -1)
+        gw = unflatten_filter(g @ cols.reshape(-1, h_out * w_out).T, wd.shape)
+        gcols = (wm.T @ g).reshape(cols.shape)
+        return scatter_shifts(scatter_shifts(gcols, col_offs, w_in, -1), row_offs, h, -2), gw
 
-    parents = (xt, wt) if bt is None else (xt, wt, bt)
-    return _record("conv2d", out, parents, bk)
+    return _record("conv2d", out, (xt, wt), bk)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,14 @@ def cmd_train(args) -> int:
 def _mel_for_synth(args, model) -> tuple[MelSpectrogram | None, int]:
     if args.mel:
         tensors, manifest = load_tensors(args.mel)
+        if "mel" not in tensors:
+            raise ValidationError(f"no 'mel' tensor in {args.mel}")
         frames = tensors["mel"].astype(np.float64)
+        n_mels = model.config.mel.n_mels
+        if frames.ndim != 2 or frames.shape[1] != n_mels:
+            raise ValidationError(
+                f"mel tensor has shape {frames.shape}; the model needs (frames, {n_mels})"
+            )
         rate = int(manifest.get("sample_rate", model.config.sample_rate))
         check_sample_rate(model, rate)
         n = int(manifest.get("n_samples", frames.shape[0] * model.config.mel.hop))

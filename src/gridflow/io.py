@@ -139,6 +139,8 @@ def load_tensors(base_path) -> tuple[dict[str, np.ndarray], dict]:
         manifest = json.loads(man_path.read_text())
     except json.JSONDecodeError as e:
         raise CheckpointError(f"manifest is not valid JSON: {e}")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
+        raise CheckpointError(f"manifest is not an object with a 'tensors' list: {man_path}")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -147,6 +149,8 @@ def load_tensors(base_path) -> tuple[dict[str, np.ndarray], dict]:
     blob = blob_path.read_bytes()
     tensors = {}
     for entry in manifest["tensors"]:
+        if not _is_tensor_entry(entry):
+            raise CheckpointError(f"malformed tensor entry in {man_path}: {entry!r}")
         name, shape, offset = entry["name"], entry["shape"], entry["offset"]
         count = int(np.prod(shape)) if shape else 1
         end = offset + 4 * count
@@ -158,6 +162,15 @@ def load_tensors(base_path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).copy()
     return tensors, manifest
+
+
+def _is_tensor_entry(entry) -> bool:
+    """A {"name": str, "shape": [int >= 0, ...], "offset": int >= 0} manifest entry."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        return False
+    shape, offset = entry.get("shape"), entry.get("offset")
+    dims_ok = isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
+    return dims_ok and isinstance(offset, int) and offset >= 0
 
 
 # ---------------------------------------------------------------------------

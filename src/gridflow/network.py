@@ -7,8 +7,9 @@ Layers are gated (tanh * sigmoid) with residual and skip 1x1 projections;
 the head is zero-initialized so a fresh net computes exactly (0, 0) and the
 flow starts as the identity.
 
-Weights use the w = g * v / ||v|| magnitude/direction form, with ||v|| taken
-per output channel. The zero-initialized output head stays a plain weight:
+Weights use the w = g * v / ||v|| form, norm per output channel, computed
+only by NormedWeight.tensor (one tape node) and differentiated only by
+NormedWeight.adjoint. The zero-initialized output head stays a plain weight:
 the decomposition cannot represent v = 0.
 
 Every forward runs compiled_forward, a numpy forward over a net that
@@ -17,7 +18,8 @@ flattened for one GEMM per layer). The samplers call it directly.
 net_forward, which likelihood and training call, wraps it as one tape node:
 while a tape records, that node keeps each layer's input and gate outputs,
 and its hand-written backward rebuilds each layer's tap columns from the
-saved input. The op-by-op taped net lives on in the tests as the oracle.
+saved input with ad.stack_shifts, as ad.conv2d does. The op-by-op taped net
+lives on in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ INIT_SCALE = 0.05
 
 @dataclass
 class NormedWeight:
-    """Weight-normalized tensor: g * v / ||v||, norm per output channel."""
+    """Weight-normalized tensor g * v / ||v||, norm per output channel; one tape node."""
 
     v: Parameter
     g: Parameter | None  # None = plain weight
@@ -44,10 +46,22 @@ class NormedWeight:
     def tensor(self) -> Tensor:
         if self.g is None:
             return self.v
-        axes = tuple(range(1, self.v.data.ndim))
-        norm = ad.sqrt(ad.sum_(self.v * self.v, axis=axes, keepdims=True))
-        g = ad.reshape(self.g, (len(self.g.data),) + (1,) * (self.v.data.ndim - 1))
-        return self.v * g / norm
+        v = self.v.data
+        norm = np.sqrt((v * v).sum(axis=tuple(range(1, v.ndim)), keepdims=True))
+        w = v * self.g.data.reshape(norm.shape) / norm
+        return ad._record("weight_norm", w, (self.v, self.g), self.adjoint)
+
+    def adjoint(self, dw: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Gradients of parameters() for a gradient dw of the weight (Salimans & Kingma 2016)."""
+        v = self.v.data
+        dw = dw.reshape(v.shape)
+        if self.g is None:
+            return (dw,)
+        axes = tuple(range(1, v.ndim))
+        norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
+        u = v / norm  # w = g * u: dg = sum(dw * u), dv = (g / ||v||) (dw - u * dg)
+        dg = (dw * u).sum(axis=axes, keepdims=True)
+        return (self.g.data.reshape(norm.shape) / norm) * (dw - u * dg), dg.reshape(-1)
 
     def parameters(self) -> list[Parameter]:
         return [self.v] if self.g is None else [self.v, self.g]
@@ -207,15 +221,15 @@ def init_conv_net(
 
 @dataclass
 class CompiledLayer:
-    filt: np.ndarray  # (2R, kh*kw*R), columns ordered (height tap, width tap, channel)
+    filt: np.ndarray  # (2R, kh*kw*R), ad.flatten_filter of the normed filter
     bias: np.ndarray  # (2R,)
     cond: np.ndarray | None  # (2R, M)
     res_w: np.ndarray  # (R, R)
     res_b: np.ndarray
     skip_w: np.ndarray
     skip_b: np.ndarray
-    dilation_h: int
-    dilation_w: int
+    row_offsets: tuple[int, ...]  # ad.tap_offsets of the height taps, oldest row first
+    col_offsets: tuple[int, ...]  # ad.tap_offsets of the width taps
 
 
 @dataclass
@@ -227,8 +241,6 @@ class CompiledNet:
     skip_head_b: np.ndarray
     out_w: np.ndarray  # (2, R)
     out_b: np.ndarray
-    kernel_h: int
-    kernel_w: int
 
 
 def compile_net(net: ConvNetParams) -> CompiledNet:
@@ -237,20 +249,20 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
     def proj(w: NormedWeight) -> np.ndarray:
         return w.tensor().data[:, :, 0, 0]
 
+    kh, kw = net.kernel_h, net.kernel_w
     layers = []
     for layer in net.layers:
-        filt = layer.filter.tensor().data
         layers.append(
             CompiledLayer(
-                filt=filt.transpose(0, 2, 3, 1).reshape(filt.shape[0], -1),
+                filt=ad.flatten_filter(layer.filter.tensor().data),
                 bias=layer.bias.data,
                 cond=None if layer.cond_proj is None else proj(layer.cond_proj),
                 res_w=proj(layer.res_proj),
                 res_b=layer.res_bias.data,
                 skip_w=proj(layer.skip_proj),
                 skip_b=layer.skip_bias.data,
-                dilation_h=layer.dilation_h,
-                dilation_w=layer.dilation_w,
+                row_offsets=ad.tap_offsets(kh, layer.dilation_h, (kh - 1) * layer.dilation_h),
+                col_offsets=ad.tap_offsets(kw, layer.dilation_w, (kw - 1) // 2 * layer.dilation_w),
             )
         )
     return CompiledNet(
@@ -261,8 +273,6 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
         skip_head_b=net.skip_head_bias.data,
         out_w=net.out_head.data[:, :, 0, 0],
         out_b=net.out_head_bias.data,
-        kernel_h=net.kernel_h,
-        kernel_w=net.kernel_w,
     )
 
 
@@ -276,71 +286,30 @@ def cond_biases(cnet: CompiledNet, cond) -> list[np.ndarray] | None:
     return [np.tensordot(layer.cond, cd, axes=(1, 0)) for layer in cnet.layers]
 
 
-def grid_taps(li: int, x: np.ndarray, delays) -> np.ndarray:
-    """Height taps of a whole (C, h, w) layer input: x moved down by each delay."""
-    n = x.shape[1]
-    taps = np.zeros((len(delays),) + x.shape, dtype=x.dtype)
-    for a, d in enumerate(delays):
-        if d < n:
-            taps[a, :, d:] = x[:, : n - d]
-    return taps
-
-
-def _width_taps(taps: np.ndarray, kw: int, dw: int) -> np.ndarray:
-    """(kh, C, n, w) height taps -> (kh, kw, C, n, w), each width offset zero-padded."""
-    w = taps.shape[-1]
-    pad = (kw - 1) // 2 * dw
-    cols = np.zeros((taps.shape[0], kw) + taps.shape[1:], dtype=taps.dtype)
-    for b in range(kw):
-        off = b * dw - pad
-        lo, hi = max(0, -off), min(w, w - off)
-        if lo < hi:
-            cols[:, b, ..., lo:hi] = taps[..., lo + off : hi + off]
-    return cols
-
-
-def _delays(kh: int, dh: int) -> list[int]:
-    """Rows above a layer's output row that its height taps read, oldest first."""
-    return [(kh - 1 - a) * dh for a in range(kh)]
-
-
-def _scatter_taps(dcols: np.ndarray, dx: np.ndarray, delays, dw: int) -> None:
-    """Adjoint of _width_taps(grid_taps(...)): add (kh, kw, C, n, w) tap grads into dx."""
-    n, w = dx.shape[1:]
-    pad = (dcols.shape[1] - 1) // 2 * dw
-    for a, d in enumerate(delays):
-        if d >= n:
-            continue
-        for b in range(dcols.shape[1]):
-            off = b * dw - pad
-            lo, hi = max(0, -off), min(w, w - off)
-            if lo < hi:
-                dx[:, : n - d, lo + off : hi + off] += dcols[a, b, :, d:, lo:hi]
-
-
 def compiled_forward(
-    cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=grid_taps, saved=None
+    cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=None, saved=None
 ):
     """Tape-free forward: row-shifted (n, w) rows -> (mu, log_sigma), each (n, w).
 
-    Layer li's height taps come from taps(li, x, delays), where x is the
-    layer's (R, n, w) input for these rows and delays lists, oldest first,
-    how many rows above x each tap sits; it returns (kh, R, n, w), zeros
-    above the first grid row. The default reads them from x itself, so
-    `rows` is the whole shifted grid; the queued sampler passes one row and
-    reads its ring buffers. cond_rows holds cond_biases for the same rows.
-    If `saved` is a list, each layer's (input, tanh gate, sigmoid gate) is
-    appended to it, then (skip sum, head before its ReLU): what
+    Layer li's height taps come from taps(li, x, offsets), where x is the
+    layer's (R, n, w) input for these rows and offsets lists, oldest first,
+    each tap's row offset (<= 0) from x's rows; it returns (kh, R, n, w),
+    zeros above the first grid row. By default they are ad.stack_shifts of
+    x itself, so `rows` is the whole shifted grid; the queued sampler passes
+    one row and reads its ring buffers. The width taps are ad.stack_shifts
+    of the height taps either way. cond_rows holds cond_biases for the same
+    rows. If `saved` is a list, each layer's (input, tanh gate, sigmoid
+    gate) is appended to it, then (skip sum, head before its ReLU): what
     net_forward's backward reads.
     """
     n, w = rows.shape
-    kh, kw = cnet.kernel_h, cnet.kernel_w
     x = cnet.input_w[:, None, None] * rows + cnet.input_b[:, None, None]
     skip = 0.0
     for li, layer in enumerate(cnet.layers):
         r_ch = layer.res_w.shape[0]
-        hs = taps(li, x, _delays(kh, layer.dilation_h))
-        cols = _width_taps(hs, kw, layer.dilation_w).reshape(-1, n * w)
+        at = layer.row_offsets
+        hs = ad.stack_shifts(x, at, n, -2) if taps is None else taps(li, x, at)
+        cols = ad.stack_shifts(hs, layer.col_offsets, w, -1).reshape(-1, n * w)
         pre = (layer.filt @ cols).reshape(2 * r_ch, n, w) + layer.bias[:, None, None]
         if cond_rows is not None:
             pre = pre + cond_rows[li]
@@ -405,22 +374,10 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
     """
     n, w = rows.shape
     m = n * w
-    kh, kw = cnet.kernel_h, cnet.kernel_w
     grads: dict[int, np.ndarray] = {}
 
     def weight(nw: NormedWeight, dw: np.ndarray) -> None:
-        # w = g * u with u = v / ||v||: dg = sum(dw * u), dv = (g / ||v||) (dw - u dg)
-        dw = dw.reshape(nw.v.data.shape)
-        if nw.g is None:
-            grads[id(nw.v)] = dw
-            return
-        v = nw.v.data
-        axes = tuple(range(1, v.ndim))
-        norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
-        u = v / norm
-        dg = (dw * u).sum(axis=axes, keepdims=True)
-        grads[id(nw.g)] = dg.reshape(-1)
-        grads[id(nw.v)] = (nw.g.data.reshape(norm.shape) / norm) * (dw - u * dg)
+        grads.update(zip(map(id, nw.parameters()), nw.adjoint(dw)))
 
     d_out = g.reshape(2, m)
     skip, head = saved[-1]
@@ -452,12 +409,11 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
         if cond is not None:
             weight(layer.cond_proj, d_pre @ cond_flat.T)
             d_cond += cl.cond.T @ d_pre
-        delays = _delays(kh, layer.dilation_h)
-        cols = _width_taps(grid_taps(0, x, delays), kw, layer.dilation_w).reshape(-1, m)
-        d_filt = (d_pre @ cols.T).reshape(2 * r_ch, kh, kw, r_ch)
-        weight(layer.filter, d_filt.transpose(0, 3, 1, 2))
-        d_cols = (cl.filt.T @ d_pre).reshape(kh, kw, r_ch, n, w)
-        _scatter_taps(d_cols, d_x, delays, layer.dilation_w)
+        cols = ad.stack_shifts(ad.stack_shifts(x, cl.row_offsets, n, -2), cl.col_offsets, w, -1)
+        d_filt = d_pre @ cols.reshape(-1, m).T
+        weight(layer.filter, ad.unflatten_filter(d_filt, layer.filter.v.data.shape))
+        d_cols = ad.scatter_shifts((cl.filt.T @ d_pre).reshape(cols.shape), cl.col_offsets, w, -1)
+        d_x += ad.scatter_shifts(d_cols, cl.row_offsets, n, -2)
     d_x = d_x.reshape(-1, m)
     weight(net.input_proj, d_x @ rows.reshape(m))
     grads[id(net.input_bias)] = d_x.sum(axis=1)

@@ -9,8 +9,9 @@ per flow.
 Both engines run the same kernel, network.compiled_forward, on a net compiled
 once per flow (weight norm materialized, each filter flattened for one GEMM
 over its stacked taps) and the same conditioner folding and sigma floor. They
-differ only in where a layer's height taps come from: shifted slices of the
-full grid there, ring-buffer reads here.
+differ only in where a layer's height taps come from: shifted copies of the
+full grid there, ring-buffer reads here. Either way the width taps are the
+same ad.stack_shifts columns that the tape's conv2d builds.
 """
 
 from __future__ import annotations
@@ -60,10 +61,7 @@ class QueueState:
 
     @classmethod
     def for_net(cls, net: CompiledNet, width: int, dtype, channels: int):
-        queues = [
-            LayerQueue((net.kernel_h - 1) * layer.dilation_h, channels, width, dtype)
-            for layer in net.layers
-        ]
+        queues = [LayerQueue(-layer.row_offsets[0], channels, width, dtype) for layer in net.layers]
         return cls(queues=queues)
 
 
@@ -76,10 +74,10 @@ def _row_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One generated row: previous waveform row in, (mu, log_sigma) row out."""
 
-    def taps(li, x, delays):
+    def taps(li, x, offsets):
         queue = qs.queues[li]
         # stacked (copied) before the push overwrites the oldest slot
-        rows = np.stack([x[:, 0] if d == 0 else queue.read(d) for d in delays])
+        rows = np.stack([x[:, 0] if off == 0 else queue.read(-off) for off in offsets])
         queue.push(x[:, 0])
         return rows[:, :, None]
 

@@ -212,30 +212,6 @@ def measure_height_reach(dilations_h, channels=2) -> int:
     return int(moved.max() - moved.min() + 1) if len(moved) else 0
 
 
-def measure_width_reach(dilations_w, channels=2) -> int:
-    """Columns influenced by one input column (symmetric, non-causal)."""
-    n_layers = len(dilations_w)
-    span = 2 * int(sum(dilations_w)) + 1
-    w = span + 49
-    net = init_conv_net(
-        channels,
-        n_layers,
-        dilations_h=[1] * n_layers,
-        dilations_w=dilations_w,
-        rng=np.random.default_rng(12),
-        dtype=np.float64,
-        weight_norm=False,
-    )
-    _rig_positive(net, 0.3)
-    x = np.zeros((4, w))
-    mu0, _ = net_forward(x, None, net)
-    bumped = x.copy()
-    bumped[:, w // 2] += 1e-3
-    mu1, _ = net_forward(bumped, None, net)
-    moved = np.where(np.abs(mu1.data - mu0.data).max(axis=0) > 1e-12)[0]
-    return int(moved.max() - moved.min() + 1) if len(moved) else 0
-
-
 def _rig_positive(net, scale) -> None:
     """Constant positive weights so sensitivities cannot cancel."""
     for layer in net.layers:

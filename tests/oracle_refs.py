@@ -1,22 +1,88 @@
-"""Shared test oracles: the op-by-op taped conv net, loop-based 1-D net
-evaluators and reference transforms, a scatter-form transposed conv, and FD
-Jacobians.
+"""Shared test oracles: tape ops only the oracles use, a per-tap conv, the
+op-by-op taped conv net, a width-reach probe, loop-based 1-D net evaluators
+and reference transforms, a scatter-form transposed conv, and FD Jacobians.
 
 The taped net builds the conv stack from the autodiff ops (conv2d, narrow,
-tanh, sigmoid, relu), so its gradients come from the tape's generic
-backward; the fused net_forward and its hand-written backward are compared
-against it. The 1-D evaluators run the stack one position at a time over the
+sigmoid) and the tanh and relu defined here, so its gradients come from the
+tape's generic backward; the fused net_forward and its hand-written backward
+are compared against it. conv2d_reference computes the convolution one tap
+at a time over a padded copy, sharing no code with ad.conv2d's stacked
+columns. The 1-D evaluators run the stack one position at a time over the
 raw weight arrays, sharing no code with the production forward pass. Used by
-the network, flow and synthesis tests, the acceptance suite for the
-degenerate-grid claims, and the conditioner tests for the mel upsampler.
+the autodiff, network, flow and synthesis tests, the acceptance suite for
+the degenerate-grid claims, and the conditioner tests for the mel upsampler.
 """
 
 import numpy as np
 
 from gridflow import autodiff as ad
-from gridflow.autodiff import Tensor
+from gridflow.autodiff import Tensor, _record, _unbroadcast, _wrap
 from gridflow.errors import ValidationError
-from gridflow.network import init_conv_net
+from gridflow.network import init_conv_net, net_forward
+from gridflow.verify import _rig_positive
+
+# ---------------------------------------------------------------------------
+# tape ops that only the oracles and the op tests use
+
+
+def div(a, b) -> Tensor:
+    at = _wrap(a, like=b if isinstance(b, Tensor) else None)
+    bt = _wrap(b, like=at)
+
+    def bk(g):
+        return (
+            _unbroadcast(g / bt.data, at.data.shape),
+            _unbroadcast(-g * at.data / (bt.data * bt.data), bt.data.shape),
+        )
+
+    return _record("div", at.data / bt.data, (at, bt), bk)
+
+
+def neg(a) -> Tensor:
+    at = _wrap(a)
+    return _record("neg", -at.data, (at,), lambda g: (-g,))
+
+
+def sqrt(a) -> Tensor:
+    at = _wrap(a)
+    out = np.sqrt(at.data)
+    return _record("sqrt", out, (at,), lambda g: (g / (2.0 * out),))
+
+
+def tanh(a) -> Tensor:
+    at = _wrap(a)
+    out = np.tanh(at.data)
+    return _record("tanh", out, (at,), lambda g: (g * (1.0 - out * out),))
+
+
+def relu(a) -> Tensor:
+    at = _wrap(a)
+    return _record("relu", np.maximum(at.data, 0.0), (at,), lambda g: (g * (at.data > 0),))
+
+
+def conv2d_reference(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))):
+    """ad.conv2d's forward by one tensordot per tap over a zero-padded copy of x."""
+    o_ch, _, kh, kw = w.shape
+    dh, dw = dilation
+    xp = np.pad(x, ((0, 0),) + tuple(pad))
+    h_out = xp.shape[1] - (kh - 1) * dh
+    w_out = xp.shape[2] - (kw - 1) * dw
+    out = np.zeros((o_ch, h_out, w_out), dtype=x.dtype)
+    for a in range(kh):
+        for b in range(kw):
+            patch = xp[:, a * dh : a * dh + h_out, b * dw : b * dw + w_out]
+            out += np.tensordot(w[:, :, a, b], patch, axes=(1, 0))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the conv net, op by op
+
+
+def conv_bias(x, w, bias=None, **conv):
+    """ad.conv2d plus a per-output-channel bias, the form every layer uses."""
+    out = ad.conv2d(x, w, **conv)
+    return out if bias is None else out + ad.reshape(bias, (-1, 1, 1))
 
 
 def taped_net_forward(x_shifted, cond, params, collect_hidden=False):
@@ -31,7 +97,7 @@ def taped_net_forward(x_shifted, cond, params, collect_hidden=False):
     h, w = xt.data.shape[-2], xt.data.shape[-1]
     kh, kw = params.kernel_h, params.kernel_w
     r_ch = params.residual_channels
-    x = ad.conv2d(ad.reshape(xt, (1, h, w)), params.input_proj.tensor(), params.input_bias)
+    x = conv_bias(ad.reshape(xt, (1, h, w)), params.input_proj.tensor(), params.input_bias)
     hidden = []
     skip = None
     for layer in params.layers:
@@ -39,7 +105,7 @@ def taped_net_forward(x_shifted, cond, params, collect_hidden=False):
             hidden.append(x.data)
         pad_h = (kh - 1) * layer.dilation_h
         pad_w = ((kw - 1) // 2) * layer.dilation_w
-        pre = ad.conv2d(
+        pre = conv_bias(
             x,
             layer.filter.tensor(),
             layer.bias,
@@ -52,17 +118,41 @@ def taped_net_forward(x_shifted, cond, params, collect_hidden=False):
             pre = pre + ad.conv2d(cond, layer.cond_proj.tensor())
         gate_a = ad.narrow(pre, 0, 0, r_ch)
         gate_b = ad.narrow(pre, 0, r_ch, r_ch)
-        hid = ad.tanh(gate_a) * ad.sigmoid(gate_b)
-        x = x + ad.conv2d(hid, layer.res_proj.tensor(), layer.res_bias)
-        s = ad.conv2d(hid, layer.skip_proj.tensor(), layer.skip_bias)
+        hid = tanh(gate_a) * ad.sigmoid(gate_b)
+        x = x + conv_bias(hid, layer.res_proj.tensor(), layer.res_bias)
+        s = conv_bias(hid, layer.skip_proj.tensor(), layer.skip_bias)
         skip = s if skip is None else skip + s
-    head = ad.conv2d(ad.relu(skip), params.skip_head.tensor(), params.skip_head_bias)
-    out = ad.conv2d(ad.relu(head), params.out_head, params.out_head_bias)
+    head = conv_bias(relu(skip), params.skip_head.tensor(), params.skip_head_bias)
+    out = conv_bias(relu(head), params.out_head, params.out_head_bias)
     mu = ad.reshape(ad.narrow(out, 0, 0, 1), (h, w))
     log_sigma = ad.reshape(ad.narrow(out, 0, 1, 1), (h, w))
     if collect_hidden:
         return mu, log_sigma, hidden
     return mu, log_sigma
+
+
+def measure_width_reach(dilations_w, channels=2) -> int:
+    """Columns influenced by one input column (symmetric, non-causal)."""
+    n_layers = len(dilations_w)
+    span = 2 * int(sum(dilations_w)) + 1
+    w = span + 49
+    net = init_conv_net(
+        channels,
+        n_layers,
+        dilations_h=[1] * n_layers,
+        dilations_w=dilations_w,
+        rng=np.random.default_rng(12),
+        dtype=np.float64,
+        weight_norm=False,
+    )
+    _rig_positive(net, 0.3)
+    x = np.zeros((4, w))
+    mu0, _ = net_forward(x, None, net)
+    bumped = x.copy()
+    bumped[:, w // 2] += 1e-3
+    mu1, _ = net_forward(bumped, None, net)
+    moved = np.where(np.abs(mu1.data - mu0.data).max(axis=0) > 1e-12)[0]
+    return int(moved.max() - moved.min() + 1) if len(moved) else 0
 
 
 def rigged_net(seed, channels=3, layers=2, kernel_h=3, kernel_w=3, dil_h=None, dil_w=None):

@@ -12,7 +12,7 @@ import pytest
 
 from gridflow.cli import main
 from gridflow.conditioner import MelConfig
-from gridflow.io import DatasetEntry, ModelConfig, write_dataset_manifest
+from gridflow.io import DatasetEntry, ModelConfig, save_tensors, write_dataset_manifest
 from gridflow.model import build_model, save_checkpoint
 from gridflow.signal import Waveform, read_wav, write_wav
 
@@ -352,6 +352,37 @@ class TestFileSystemErrors:
         )
         gc.collect()
         assert unraisable == []
+
+
+class TestMalformedTensorFiles:
+    """Tensor files of the wrong structure exit 1 with one error line."""
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [{"format_version": 1}, [1, 2], {"format_version": 1, "tensors": [{"name": "x"}]}],
+        ids=["no_tensors", "list", "bad_entry"],
+    )
+    def test_bad_manifest(self, tmp_path, capsys, manifest):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), ckpt)
+        Path(f"{ckpt}.manifest.json").write_text(json.dumps(manifest))
+        TestFileSystemErrors._fails_cleanly(
+            capsys, "synth", "--checkpoint", ckpt, "--samples", 64, "--out", tmp_path / "x.wav"
+        )
+
+    @pytest.mark.parametrize(
+        "tensors",
+        [{"frames": np.zeros((16, 80))}, {"mel": np.zeros((16, 40))}, {"mel": np.zeros(16)}],
+        ids=["no_mel", "40_bands", "1d"],
+    )
+    def test_bad_mel_tensor(self, tmp_path, capsys, tensors):
+        cfg = ModelConfig(**{**TINY_CONFIG, "conditioned": True})
+        save_checkpoint(build_model(cfg, seed=0), tmp_path / "ck")
+        save_tensors(tmp_path / "mel", tensors, {"sample_rate": 22050})
+        TestFileSystemErrors._fails_cleanly(
+            capsys, "synth", "--checkpoint", tmp_path / "ck", "--mel", tmp_path / "mel",
+            "--out", tmp_path / "x.wav",
+        )
 
 
 class TestInstalledEntryPoint:

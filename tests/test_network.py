@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracle_refs import taped_net_forward
+from oracle_refs import measure_width_reach, taped_net_forward
 
 import gridflow.flow
 from gridflow import autodiff as ad
@@ -21,7 +21,7 @@ from gridflow.network import (
     receptive_field,
     width_dilations,
 )
-from gridflow.verify import measure_height_reach, measure_width_reach
+from gridflow.verify import measure_height_reach
 
 # (height, schedule, receptive field) for the standard 8-layer stacks
 STANDARD_SCHEDULES = [
@@ -153,6 +153,33 @@ class TestWeightNorm:
         assert np.all(net.out_head.data == 0.0)
         names = {p.name for p in net.parameters()}
         assert not any("out_head.g" in n for n in names)
+
+    def test_one_tape_node_and_its_gradient(self):
+        # the normed weight is one weight_norm node; its backward is the
+        # adjoint net_forward's backward also calls
+        net = init_conv_net(3, 1, rng=np.random.default_rng(29), dtype=np.float64)
+        nw = net.layers[0].filter
+        nw.g.data = nw.g.data * 1.7
+        probe = np.random.default_rng(30).standard_normal(nw.v.data.shape)
+        with ad.Tape() as tape:
+            nw.tensor()
+        assert [node.op for node in tape.nodes] == ["weight_norm"]
+        loss, tape = ad.record_forward(lambda: ad.sum_(nw.tensor() * probe), [nw.v, nw.g])
+        assert [node.op for node in tape.nodes] == ["weight_norm", "mul", "sum"]
+        grads = ad.backward(tape)
+        eps = 1e-6
+        for p in (nw.v, nw.g):
+            flat = p.data.reshape(-1)
+            for i in range(0, flat.size, 7):
+                orig = flat[i]
+                flat[i] = orig + eps
+                lp = float((nw.tensor().data * probe).sum())
+                flat[i] = orig - eps
+                lm = float((nw.tensor().data * probe).sum())
+                flat[i] = orig
+                fd = (lp - lm) / (2 * eps)
+                an = grads[p.name].reshape(-1)[i]
+                assert abs(fd - an) <= 1e-8 + 1e-6 * abs(fd), (p.name, i)
 
     def test_weight_norm_off(self):
         net = init_conv_net(4, 2, rng=np.random.default_rng(15), weight_norm=False)
