@@ -6,14 +6,15 @@ backward closure. backward() replays the nodes in exact reverse recording
 order, accumulating gradients in an id-keyed dict, so no gradient state
 leaks between training steps; each node's incoming gradient is dropped once
 the node has used it. Whatever a node's closure keeps stays alive until the
-tape is dropped. For the small ops here that is their inputs (conv2d keeps
-its stacked columns); a whole conv net is one node (network.net_forward)
-that keeps only its layer inputs and gate outputs.
+tape is dropped. For the small ops here that is their inputs; a whole conv
+net is one node (network.net_forward) that keeps only its layer inputs and
+gate outputs.
 
 The op set is exactly what the engine needs: add, sub, mul, exp, sigmoid,
 leaky ReLU, sums, shape ops, a row shift, a row permutation, and dilated 2-D
-convolution (the mel upsampler) as one GEMM over stacked shifted copies of
-its input, the same columns the compiled conv net (network.py) uses.
+convolution (the mel upsampler). Every convolution, here and in network.py,
+writes its input's width taps once into a zero-bordered buffer (width_taps)
+and accumulates kh GEMMs over height taps that are views of it (tap_rows).
 """
 
 from __future__ import annotations
@@ -219,10 +220,14 @@ def exp(a) -> Tensor:
     return _record("exp", out, (at,), bk)
 
 
+def logistic(a: np.ndarray) -> np.ndarray:
+    """Sigmoid of an array in the tanh form: one transcendental, no overflow at either tail."""
+    return 0.5 * (1.0 + np.tanh(0.5 * a))
+
+
 def sigmoid(a) -> Tensor:
     at = _wrap(a)
-    # tanh form: one transcendental, and no overflow at either tail
-    out = 0.5 * (1.0 + np.tanh(0.5 * at.data))
+    out = logistic(at.data)
 
     def bk(g):
         return (g * out * (1.0 - out),)
@@ -325,7 +330,7 @@ def permute_rows(a, row_map: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution: one GEMM over stacked shifted copies; network.py shares these
+# convolution: kh GEMMs over views of one width-tap buffer; network.py shares these
 
 
 def tap_offsets(k: int, dilation: int, pad: int) -> tuple[int, ...]:
@@ -345,44 +350,49 @@ def _spans(offsets: tuple[int, ...], n: int, size: int) -> tuple:
     return tuple(spans)
 
 
-def stack_shifts(x: np.ndarray, offsets: tuple[int, ...], size: int, axis: int) -> np.ndarray:
-    """Zero-filled copies of x: entry i of copy a is x at i + offsets[a], `size` long.
-
-    axis -2 shifts x (C, H, W) into height taps (kh, C, H, W); axis -1 those
-    into (kh, kw, C, H, W) columns, the order of flatten_filter's columns.
-    """
-    if axis == -1:
-        out = np.zeros((x.shape[0], len(offsets)) + x.shape[1:-1] + (size,), dtype=x.dtype)
-        for a, dst, src in _spans(offsets, x.shape[-1], size):
-            out[:, a, ..., dst] = x[..., src]
-    else:
-        out = np.zeros((len(offsets), x.shape[0], size, x.shape[2]), dtype=x.dtype)
-        for a, dst, src in _spans(offsets, x.shape[1], size):
-            out[a, :, dst] = x[:, src]
+def width_taps(x: np.ndarray, offsets, size: int, top: int = 0, bottom: int = 0, out=None):
+    """Zero-bordered (kw, C, top + H + bottom, size) buffer holding x[c, i, j + offsets[a]]."""
+    c, h, w = x.shape
+    if out is None:
+        out = np.zeros((len(offsets), c, top + h + bottom, size), dtype=x.dtype)
+    for a, dst, src in _spans(offsets, w, size):
+        out[a, :, top : top + h, dst] = x[..., src]
     return out
 
 
-def scatter_shifts(d: np.ndarray, offsets, size: int, axis: int) -> np.ndarray:
-    """Adjoint of stack_shifts, for an x that is `size` long on the shifted axis."""
-    if axis == -1:
-        out = np.zeros((d.shape[0],) + d.shape[2:-1] + (size,), dtype=d.dtype)
-        for a, dst, src in _spans(offsets, size, d.shape[-1]):
-            out[..., src] += d[:, a, ..., dst]
-    else:
-        out = np.zeros((d.shape[1], size, d.shape[3]), dtype=d.dtype)
-        for a, dst, src in _spans(offsets, size, d.shape[2]):
-            out[:, src] += d[a, :, dst]
+def tap_rows(buf: np.ndarray, row_offsets) -> list[np.ndarray]:
+    """Height taps of a width_taps buffer with -row_offsets[0] top rows, as (kw*C, n*W) views."""
+    kw, c, rows, w = buf.shape
+    top, n = -row_offsets[0], rows + row_offsets[0] - row_offsets[-1]
+    flat = buf.reshape(kw * c, rows * w)
+    return [flat[:, (top + off) * w : (top + off + n) * w] for off in row_offsets]
+
+
+def tap_filters(w: np.ndarray) -> np.ndarray:
+    """(O, C, kh, kw) filter -> (kh, O, kw * C): one contiguous GEMM block per height tap."""
+    o_ch, c_ch, kh, kw = w.shape
+    return np.ascontiguousarray(w.transpose(2, 0, 3, 1)).reshape(kh, o_ch, kw * c_ch)
+
+
+def tap_conv(filts: np.ndarray, taps: list[np.ndarray]) -> np.ndarray:
+    """The convolution as kh accumulated GEMMs: the sum of filts[a] @ taps[a]."""
+    out = filts[0] @ taps[0]
+    for f, t in zip(filts[1:], taps[1:]):
+        out += f @ t
     return out
 
 
-def flatten_filter(w: np.ndarray) -> np.ndarray:
-    """(O, C, kh, kw) filter -> (O, kh * kw * C) matrix over the stacked columns."""
-    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
-
-
-def unflatten_filter(m: np.ndarray, shape) -> np.ndarray:
-    """Inverse of flatten_filter for an (O, C, kh, kw) `shape`."""
-    return m.reshape(shape[0], shape[2], shape[3], shape[1]).transpose(0, 3, 1, 2)
+def tap_conv_adjoint(g, filts, x, row_offsets, col_offsets, size, bottom=0):
+    """Filter (O, C, kh, kw) and x gradients of tap_conv's output g over x's width_taps."""
+    (c_ch, h, w), top = x.shape, -row_offsets[0]
+    buf = width_taps(x, col_offsets, size, top, bottom)
+    d_buf, d_w, d_x = np.zeros_like(buf), [], np.zeros_like(x)
+    for f, tap, d_tap in zip(filts, tap_rows(buf, row_offsets), tap_rows(d_buf, row_offsets)):
+        d_w.append(g @ tap.T)
+        d_tap += f.T @ g
+    for a, dst, src in _spans(col_offsets, w, size):  # width_taps' adjoint
+        d_x[..., src] += d_buf[a, :, top : top + h, dst]
+    return np.stack(d_w).reshape(len(filts), len(g), -1, c_ch).transpose(1, 3, 0, 2), d_x
 
 
 def conv2d(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
@@ -390,7 +400,7 @@ def conv2d(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
 
     Padding is explicit per side: ((top, bottom), (left, right)). The caller
     chooses top-only height padding for causal stacks and symmetric width
-    padding for same-width output. One GEMM forward, one per operand back.
+    padding for same-width output. tap_conv forward, tap_conv_adjoint back.
     """
     xt, wt = _wrap(x), _wrap(w)
     xd, wd = xt.data, wt.data
@@ -402,17 +412,15 @@ def conv2d(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
     h_out = h + pt + pb - (kh - 1) * dilation[0]
     w_out = w_in + pl + pr - (kw - 1) * dilation[1]
     row_offs, col_offs = tap_offsets(kh, dilation[0], pt), tap_offsets(kw, dilation[1], pl)
-    cols = stack_shifts(stack_shifts(xd, row_offs, h_out, -2), col_offs, w_out, -1)
-    wm = flatten_filter(wd)
-    out = (wm @ cols.reshape(-1, h_out * w_out)).reshape(o_ch, h_out, w_out)
+    filts = tap_filters(wd)
+    out = tap_conv(filts, tap_rows(width_taps(xd, col_offs, w_out, pt, pb), row_offs))
 
     def bk(g):
         g = np.asarray(g).reshape(o_ch, -1)
-        gw = unflatten_filter(g @ cols.reshape(-1, h_out * w_out).T, wd.shape)
-        gcols = (wm.T @ g).reshape(cols.shape)
-        return scatter_shifts(scatter_shifts(gcols, col_offs, w_in, -1), row_offs, h, -2), gw
+        gw, gx = tap_conv_adjoint(g, filts, xd, row_offs, col_offs, w_out, pb)
+        return gx, gw
 
-    return _record("conv2d", out, (xt, wt), bk)
+    return _record("conv2d", out.reshape(o_ch, h_out, w_out), (xt, wt), bk)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,10 @@ def _mel_for_synth(args, model) -> tuple[MelSpectrogram | None, int]:
             raise ValidationError(
                 f"mel tensor has shape {frames.shape}; the model needs (frames, {n_mels})"
             )
+        for key in ("sample_rate", "n_samples"):
+            value = manifest.get(key, 1)
+            if type(value) is not int or value < 1:
+                raise ValidationError(f"mel manifest: {key} is not a positive integer: {value!r}")
         rate = int(manifest.get("sample_rate", model.config.sample_rate))
         check_sample_rate(model, rate)
         n = int(manifest.get("n_samples", frames.shape[0] * model.config.mel.hop))

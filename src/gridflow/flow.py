@@ -79,7 +79,7 @@ class LikelihoodReport:
 
 @dataclass
 class SynthStats:
-    """Counters filled in while sampling."""
+    """Counters filled in while sampling; row_flops has each queued row step's multiply-adds."""
 
     row_steps: int = 0
     full_net_evals: int = 0

@@ -13,12 +13,13 @@ NormedWeight.adjoint. The zero-initialized output head stays a plain weight:
 the decomposition cannot represent v = 0.
 
 Every forward runs compiled_forward, a numpy forward over a net that
-compile_net has materialized once (weight norm applied, each filter
-flattened for one GEMM per layer). The samplers call it directly.
+compile_net has materialized once (weight norm applied, each filter split
+per height tap): kh GEMMs over views of one width-tap buffer plus the
+conditioner's projection, in one accumulation. The samplers call it directly.
 net_forward, which likelihood and training call, wraps it as one tape node:
 while a tape records, that node keeps each layer's input and gate outputs,
-and its hand-written backward rebuilds each layer's tap columns from the
-saved input with ad.stack_shifts, as ad.conv2d does. The op-by-op taped net
+and its hand-written backward rebuilds each layer's buffer from the saved
+input in ad.tap_conv_adjoint, as ad.conv2d does. The op-by-op taped net
 lives on in the tests as the oracle.
 """
 
@@ -221,13 +222,11 @@ def init_conv_net(
 
 @dataclass
 class CompiledLayer:
-    filt: np.ndarray  # (2R, kh*kw*R), ad.flatten_filter of the normed filter
+    filts: np.ndarray  # (kh, 2R, kw*R), ad.tap_filters of the normed filter
     bias: np.ndarray  # (2R,)
     cond: np.ndarray | None  # (2R, M)
-    res_w: np.ndarray  # (R, R)
-    res_b: np.ndarray
-    skip_w: np.ndarray
-    skip_b: np.ndarray
+    proj_w: np.ndarray  # (2R, R): the residual projection over the skip projection
+    proj_b: np.ndarray
     row_offsets: tuple[int, ...]  # ad.tap_offsets of the height taps, oldest row first
     col_offsets: tuple[int, ...]  # ad.tap_offsets of the width taps
 
@@ -244,7 +243,7 @@ class CompiledNet:
 
 
 def compile_net(net: ConvNetParams) -> CompiledNet:
-    """Materialize weight norm once and flatten each filter for one GEMM per layer."""
+    """Materialize weight norm once and split each filter into per-height-tap GEMM blocks."""
 
     def proj(w: NormedWeight) -> np.ndarray:
         return w.tensor().data[:, :, 0, 0]
@@ -254,13 +253,11 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
     for layer in net.layers:
         layers.append(
             CompiledLayer(
-                filt=ad.flatten_filter(layer.filter.tensor().data),
+                filts=ad.tap_filters(layer.filter.tensor().data),
                 bias=layer.bias.data,
                 cond=None if layer.cond_proj is None else proj(layer.cond_proj),
-                res_w=proj(layer.res_proj),
-                res_b=layer.res_bias.data,
-                skip_w=proj(layer.skip_proj),
-                skip_b=layer.skip_bias.data,
+                proj_w=np.concatenate([proj(layer.res_proj), proj(layer.skip_proj)]),
+                proj_b=np.concatenate([layer.res_bias.data, layer.skip_bias.data]),
                 row_offsets=ad.tap_offsets(kh, layer.dilation_h, (kh - 1) * layer.dilation_h),
                 col_offsets=ad.tap_offsets(kw, layer.dilation_w, (kw - 1) // 2 * layer.dilation_w),
             )
@@ -276,14 +273,14 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
     )
 
 
-def cond_biases(cnet: CompiledNet, cond) -> list[np.ndarray] | None:
-    """Fold an (M, h, w) conditioner grid into per-layer (2R, h, w) gate biases."""
+def cond_biases(cnet: CompiledNet, cond) -> np.ndarray | None:
+    """Check an (M, h, w) conditioner grid against the net; every layer's GEMMs read it."""
     if cond is None:
         return None
     if any(layer.cond is None for layer in cnet.layers):
         raise ValidationError("net has no conditioner projections but cond given")
-    cd = cond.data if isinstance(cond, Tensor) else np.asarray(cond)
-    return [np.tensordot(layer.cond, cd, axes=(1, 0)) for layer in cnet.layers]
+    # contiguous, the grid and its rows are BLAS operands as is (the squeeze transposes it)
+    return np.ascontiguousarray(cond.data if isinstance(cond, Tensor) else cond)
 
 
 def compiled_forward(
@@ -293,32 +290,38 @@ def compiled_forward(
 
     Layer li's height taps come from taps(li, x, offsets), where x is the
     layer's (R, n, w) input for these rows and offsets lists, oldest first,
-    each tap's row offset (<= 0) from x's rows; it returns (kh, R, n, w),
-    zeros above the first grid row. By default they are ad.stack_shifts of
-    x itself, so `rows` is the whole shifted grid; the queued sampler passes
-    one row and reads its ring buffers. The width taps are ad.stack_shifts
-    of the height taps either way. cond_rows holds cond_biases for the same
-    rows. If `saved` is a list, each layer's (input, tanh gate, sigmoid
-    gate) is appended to it, then (skip sum, head before its ReLU): what
-    net_forward's backward reads.
+    each tap's row offset (<= 0) from x's rows; it returns kh (kw*R, n*w)
+    width-tap matrices, zeros above the first grid row. By default they are
+    ad.tap_rows views of ad.width_taps of x itself, so `rows` is the whole
+    shifted grid; the queued sampler passes one row and reads its ring
+    slots. cond_rows is cond_biases' (M, n, w) grid for the same rows; each
+    layer adds its projection of it to the kh tap GEMMs. If `saved` is a
+    list, each layer's (input, tanh gate, sigmoid gate) is appended to it,
+    then (skip sum, head before its ReLU): what net_forward's backward reads.
     """
     n, w = rows.shape
+    cond = None if cond_rows is None else cond_rows.reshape(len(cond_rows), n * w)
     x = cnet.input_w[:, None, None] * rows + cnet.input_b[:, None, None]
     skip = 0.0
     for li, layer in enumerate(cnet.layers):
-        r_ch = layer.res_w.shape[0]
+        r_ch = layer.proj_w.shape[1]
         at = layer.row_offsets
-        hs = ad.stack_shifts(x, at, n, -2) if taps is None else taps(li, x, at)
-        cols = ad.stack_shifts(hs, layer.col_offsets, w, -1).reshape(-1, n * w)
-        pre = (layer.filt @ cols).reshape(2 * r_ch, n, w) + layer.bias[:, None, None]
-        if cond_rows is not None:
-            pre = pre + cond_rows[li]
-        gate_t, gate_s = np.tanh(pre[:r_ch]), ad.sigmoid(pre[r_ch:]).data
+        if taps is None:
+            hs = ad.tap_rows(ad.width_taps(x, layer.col_offsets, w, -at[0]), at)
+        else:
+            hs = taps(li, x, at)
+        pre = ad.tap_conv(layer.filts, hs)
+        if cond is not None:
+            pre += layer.cond @ cond
+        pre += layer.bias[:, None]
+        gate_t, gate_s = np.tanh(pre[:r_ch]), ad.logistic(pre[r_ch:])
         if saved is not None:
-            saved.append((x, gate_t, gate_s))
-        hid = (gate_t * gate_s).reshape(r_ch, n * w)
-        x = x + (layer.res_w @ hid + layer.res_b[:, None]).reshape(r_ch, n, w)
-        skip = skip + layer.skip_w @ hid + layer.skip_b[:, None]
+            saved.append((x, gate_t.reshape(r_ch, n, w), gate_s.reshape(r_ch, n, w)))
+        hid = gate_t * gate_s
+        res_skip = layer.proj_w @ hid + layer.proj_b[:, None]
+        x = x + res_skip[:r_ch].reshape(r_ch, n, w)
+        skip = skip + res_skip[r_ch:]
+        del hs, pre, gate_t, gate_s, hid, res_skip  # freed before the next layer allocates
     head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
     if saved is not None:
         saved.append((skip, head))
@@ -393,7 +396,7 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
     for layer, cl, (x, gate_t, gate_s) in zip(
         reversed(net.layers), reversed(cnet.layers), reversed(saved[:-1])
     ):
-        r_ch = cl.res_w.shape[0]
+        r_ch = cl.proj_w.shape[1]
         gate_t, gate_s = gate_t.reshape(r_ch, m), gate_s.reshape(r_ch, m)
         hid = gate_t * gate_s
         d_res = d_x.reshape(r_ch, m)
@@ -401,7 +404,7 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
         grads[id(layer.skip_bias)] = d_skip.sum(axis=1)
         weight(layer.res_proj, d_res @ hid.T)
         grads[id(layer.res_bias)] = d_res.sum(axis=1)
-        d_hid = cl.skip_w.T @ d_skip + cl.res_w.T @ d_res
+        d_hid = cl.proj_w[r_ch:].T @ d_skip + cl.proj_w[:r_ch].T @ d_res
         d_pre = np.concatenate(
             [d_hid * gate_s * (1.0 - gate_t * gate_t), d_hid * gate_t * gate_s * (1.0 - gate_s)]
         )
@@ -409,11 +412,9 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
         if cond is not None:
             weight(layer.cond_proj, d_pre @ cond_flat.T)
             d_cond += cl.cond.T @ d_pre
-        cols = ad.stack_shifts(ad.stack_shifts(x, cl.row_offsets, n, -2), cl.col_offsets, w, -1)
-        d_filt = d_pre @ cols.reshape(-1, m).T
-        weight(layer.filter, ad.unflatten_filter(d_filt, layer.filter.v.data.shape))
-        d_cols = ad.scatter_shifts((cl.filt.T @ d_pre).reshape(cols.shape), cl.col_offsets, w, -1)
-        d_x += ad.scatter_shifts(d_cols, cl.row_offsets, n, -2)
+        d_filt, d_in = ad.tap_conv_adjoint(d_pre, cl.filts, x, cl.row_offsets, cl.col_offsets, w)
+        weight(layer.filter, d_filt)
+        d_x += d_in
     d_x = d_x.reshape(-1, m)
     weight(net.input_proj, d_x @ rows.reshape(m))
     grads[id(net.input_bias)] = d_x.sum(axis=1)

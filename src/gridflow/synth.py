@@ -7,11 +7,10 @@ new row costs one row's worth of compute regardless of the row index: O(h w)
 per flow.
 
 Both engines run the same kernel, network.compiled_forward, on a net compiled
-once per flow (weight norm materialized, each filter flattened for one GEMM
-over its stacked taps) and the same conditioner folding and sigma floor. They
-differ only in where a layer's height taps come from: shifted copies of the
-full grid there, ring-buffer reads here. Either way the width taps are the
-same ad.stack_shifts columns that the tape's conv2d builds.
+once per flow and the same conditioner folding and sigma floor. They differ
+only in where a layer's height taps come from: views of one width-tap buffer
+over the full grid there, ring slots here. A slot holds a row's width taps, so
+a row step width-shifts only the new row and reads older taps in place.
 """
 
 from __future__ import annotations
@@ -21,35 +20,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import ValidationError
 from .flow import SynthStats, _conds, floored_sigma, stack_forward
 from .network import CompiledNet, compile_net, compiled_forward, cond_biases
 
 
 class LayerQueue:
-    """Ring buffer of a conv layer's most recent input rows.
+    """Ring buffer of a conv layer's recent input rows, each held as its (kw, C, 1, w) width taps.
 
-    Capacity is the layer's height reach, (k_h - 1) * d_h. Rows are pushed
-    after the layer reads its taps for the current row, so once rows
-    0..i-1 are generated the buffer holds rows max(0, i-c)..i-1 of a full
-    recompute. Reads past the start of the signal return zeros (causal pad).
+    It holds the newest row and the c = (k_h - 1) * d_h rows before it, the
+    layer's height reach; slots not yet written are zeros (causal pad).
     """
 
-    def __init__(self, capacity: int, channels: int, width: int, dtype):
-        self.capacity = capacity
-        self.buf = np.zeros((max(capacity, 1), channels, width), dtype=dtype)
+    def __init__(self, capacity: int, channels: int, width: int, dtype, col_offsets):
+        self.col_offsets = col_offsets
+        self.slots = np.zeros((capacity + 1, len(col_offsets), channels, 1, width), dtype=dtype)
         self.pushed = 0
 
+    def taps(self, delay: int) -> np.ndarray:
+        """(kw * C, w) width taps of the row pushed `delay` pushes before the newest."""
+        slot = self.slots[(self.pushed - 1 - delay) % len(self.slots)]
+        return slot.reshape(-1, slot.shape[-1])
+
     def read(self, delay: int) -> np.ndarray:
-        """Row `delay` steps back from the next row to be pushed."""
-        if delay > self.pushed or delay > self.capacity:
-            return self.buf[0] * 0.0
-        return self.buf[(self.pushed - delay) % self.capacity]
+        """Row `delay` steps back from the next push (its offset-0 tap); zeros past capacity."""
+        if delay >= len(self.slots):
+            return np.zeros_like(self.slots[0, 0, :, 0])
+        return self.slots[(self.pushed - delay) % len(self.slots), self.col_offsets.index(0), :, 0]
 
     def push(self, row: np.ndarray) -> None:
-        if self.capacity == 0:
-            return
-        self.buf[self.pushed % self.capacity] = row
+        slot = self.slots[self.pushed % len(self.slots)]
+        ad.width_taps(row, self.col_offsets, slot.shape[-1], out=slot)  # same spans: pad stays 0
         self.pushed += 1
 
 
@@ -61,7 +63,8 @@ class QueueState:
 
     @classmethod
     def for_net(cls, net: CompiledNet, width: int, dtype, channels: int):
-        queues = [LayerQueue(-layer.row_offsets[0], channels, width, dtype) for layer in net.layers]
+        queues = [LayerQueue(-c.row_offsets[0], channels, width, dtype, c.col_offsets)
+                  for c in net.layers]
         return cls(queues=queues)
 
 
@@ -75,17 +78,15 @@ def _row_step(
     """One generated row: previous waveform row in, (mu, log_sigma) row out."""
 
     def taps(li, x, offsets):
-        queue = qs.queues[li]
-        # stacked (copied) before the push overwrites the oldest slot
-        rows = np.stack([x[:, 0] if off == 0 else queue.read(-off) for off in offsets])
-        queue.push(x[:, 0])
-        return rows[:, :, None]
+        qs.queues[li].push(x)
+        return [qs.queues[li].taps(-off) for off in offsets]
 
     mu, log_sigma = compiled_forward(cnet, prev_row[None], cond_rows, taps)
     if stats is not None:
         w = len(prev_row)
         per_col = cnet.input_w.size + cnet.skip_head_w.size + cnet.out_w.size
-        per_col += sum(layer.filt.size + 2 * layer.res_w.size for layer in cnet.layers)
+        per_col += sum(layer.filts.size + layer.proj_w.size for layer in cnet.layers)
+        per_col += 0 if cond_rows is None else sum(layer.cond.size for layer in cnet.layers)
         stats.row_flops.append(per_col * w)
     return mu[0], log_sigma[0]
 
@@ -103,7 +104,7 @@ def synth_queued(z, conds, stack, stats: SynthStats | None = None) -> np.ndarray
         out = np.zeros_like(x)
         prev = np.zeros(w, dtype=x.dtype)
         for i in range(h):
-            cond_rows = None if cond_grid is None else [c[:, i : i + 1] for c in cond_grid]
+            cond_rows = None if cond_grid is None else cond_grid[:, i : i + 1]
             mu_i, ls_i = _row_step(cnet, qs, prev, cond_rows, stats)
             out[i] = (x[i] - mu_i) / floored_sigma(ls_i, stats)
             prev = out[i]

@@ -283,15 +283,16 @@ def check_gradients() -> tuple[str, bool, str]:
 
 
 def check_queue_equivalence() -> tuple[str, bool, str]:
-    """Queued synthesis reproduces the naive engine."""
-    model = build_model(_tiny_config(16, 2), seed=21)
+    """Queued synthesis reproduces the naive engine, conditioner folded in."""
+    model = build_model(_tiny_config(16, 2, conditioned=True), seed=21)
     cast_model(model, np.float64)
     _rig_moderate(model, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     z = rng.standard_normal((16, 8))
-    naive = stack_forward(z, None, model.stack)
+    conds = [rng.standard_normal((model.config.mel.n_mels, 16, 8)) for _ in range(2)]
+    naive = stack_forward(z, conds, model.stack)
     stats = SynthStats()
-    queued = synth_queued(z, None, model.stack, stats=stats)
+    queued = synth_queued(z, conds, model.stack, stats=stats)
     err = float(np.max(np.abs(naive - queued)))
     steps_ok = stats.row_steps == model.stack.n_flows * 16
     return (

@@ -6,8 +6,8 @@ The taped net builds the conv stack from the autodiff ops (conv2d, narrow,
 sigmoid) and the tanh and relu defined here, so its gradients come from the
 tape's generic backward; the fused net_forward and its hand-written backward
 are compared against it. conv2d_reference computes the convolution one tap
-at a time over a padded copy, sharing no code with ad.conv2d's stacked
-columns. The 1-D evaluators run the stack one position at a time over the
+at a time over a padded copy, sharing no code with ad.conv2d's width-tap
+buffer. The 1-D evaluators run the stack one position at a time over the
 raw weight arrays, sharing no code with the production forward pass. Used by
 the autodiff, network, flow and synthesis tests, the acceptance suite for
 the degenerate-grid claims, and the conditioner tests for the mel upsampler.

@@ -186,6 +186,15 @@ class TestConv2d:
         assert abs(float((grads["x"] * x).sum()) - expect) <= 1e-12 * max(1.0, abs(expect))
         assert abs(float((grads["w"] * w).sum()) - expect) <= 1e-12 * max(1.0, abs(expect))
 
+    def test_height_taps_are_views_of_one_buffer(self):
+        # the adjoint adds into these views in place, so none may be a copy
+        x = np.random.default_rng(22).standard_normal((2, 5, 6))
+        buf = ad.width_taps(x, ad.tap_offsets(3, 2, 2), 6, top=4)
+        taps = ad.tap_rows(buf, ad.tap_offsets(3, 2, 4))
+        assert buf.shape == (3, 2, 9, 6)
+        assert all(t.shape == (6, 30) and np.shares_memory(t, buf) for t in taps)
+        assert np.array_equal(taps[-1].reshape(3, 2, 5, 6)[1], x)  # offset 0, center tap
+
 
 class TestTapeMechanics:
     def test_recording_order_matches_execution(self):

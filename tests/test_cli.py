@@ -318,6 +318,7 @@ class TestFileSystemErrors:
         assert run_cli(*argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        return err
 
     def test_loglik_missing_wav(self, tmp_path, capsys):
         save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
@@ -383,6 +384,22 @@ class TestMalformedTensorFiles:
             capsys, "synth", "--checkpoint", tmp_path / "ck", "--mel", tmp_path / "mel",
             "--out", tmp_path / "x.wav",
         )
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"n_samples": "abc"}, {"n_samples": -5}, {"sample_rate": "x"}],
+        ids=["n_samples_abc", "n_samples_negative", "sample_rate_x"],
+    )
+    def test_bad_mel_manifest_integer(self, tmp_path, capsys, extra):
+        cfg = ModelConfig(**{**TINY_CONFIG, "conditioned": True})
+        save_checkpoint(build_model(cfg, seed=0), tmp_path / "ck")
+        manifest = {"sample_rate": 22050, "n_samples": 256, **extra}
+        save_tensors(tmp_path / "mel", {"mel": np.zeros((16, 80))}, manifest)
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "synth", "--checkpoint", tmp_path / "ck", "--mel", tmp_path / "mel",
+            "--out", tmp_path / "x.wav",
+        )
+        assert "not a positive integer" in err
 
 
 class TestInstalledEntryPoint:

@@ -1,5 +1,7 @@
 """Receptive fields, dilation schedules, causality, and weight norm."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracle_refs import measure_width_reach, taped_net_forward
@@ -250,6 +252,28 @@ class TestCompiledForward:
         assert np.abs(mu - mu_ref.data).max() <= 1e-12
         assert np.abs(ls - ls_ref.data).max() <= 1e-12
         assert np.abs(ls_ref.data).max() > 0.1
+
+
+class TestForwardMemory:
+    # tracemalloc peak of one conditioned whole-grid forward at vocode-h16's
+    # shape (fp32, 16 x 690, R = 64, M = 80, 8 layers), measured: 118.6 MiB
+    # when each layer built (kh, R, n, w) height taps and (kh, kw, R, n, w)
+    # columns and the conditioner became eight (2R, n, w) biases; 38.8 MiB
+    # with one width-tap buffer per layer and the conditioner folded
+    PEAK_BOUND_MIB = 64
+
+    def test_conditioned_forward_peak_bounded(self):
+        rng = np.random.default_rng(31)
+        cnet = compile_net(init_conv_net(64, 8, cond_channels=80, rng=rng))
+        rows = rng.standard_normal((16, 690)).astype(np.float32)
+        cond = rng.standard_normal((80, 16, 690)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            compiled_forward(cnet, rows, cond_biases(cnet, cond))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= self.PEAK_BOUND_MIB
 
 
 class TestNetBackward:

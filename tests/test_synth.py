@@ -10,7 +10,7 @@ from gridflow.errors import ValidationError
 from gridflow.flow import FlowStack, SynthStats, stack_forward
 from gridflow.io import ModelConfig
 from gridflow.model import build_model, synthesize
-from gridflow.network import init_conv_net
+from gridflow.network import default_dilations, init_conv_net, width_dilations
 from gridflow.signal import (
     Waveform,
     bipartite_reverse_permutation,
@@ -36,6 +36,31 @@ def rigged_net(seed, channels=3, layers=2, dil_h=None, dtype=np.float64):
     return net
 
 
+def moderate_net(rng, dil_h, dil_w, cond_ch=None, channels=4):
+    """An fp64 net whose every weight moves the data, with sigma kept near 1."""
+    net = init_conv_net(
+        channels,
+        len(dil_h),
+        dilations_h=dil_h,
+        dilations_w=dil_w,
+        cond_channels=cond_ch,
+        rng=rng,
+        dtype=np.float64,
+    )
+    params = {p.name: p for p in net.parameters()}
+    for name, p in params.items():
+        if name.endswith(".v"):
+            p.data = rng.standard_normal(p.data.shape) * 0.3
+    for name, p in params.items():
+        if name.endswith(".g"):  # g = ||v|| makes the normed weight equal v
+            v = params[name[:-1] + "v"].data
+            p.data = np.sqrt((v**2).sum(axis=tuple(range(1, v.ndim))))
+        elif "bias" in name:
+            p.data = rng.standard_normal(p.data.shape) * 0.1
+    net.out_head.data = rng.standard_normal(net.out_head.data.shape) * 0.15
+    return net
+
+
 def rigged_stack(h, n_flows, seed, perm="reverse", dtype=np.float64, dil_h=None):
     nets = [rigged_net(seed + k, dil_h=dil_h, dtype=dtype) for k in range(n_flows)]
     if perm == "mix":
@@ -50,34 +75,48 @@ def rigged_stack(h, n_flows, seed, perm="reverse", dtype=np.float64, dil_h=None)
     return FlowStack(nets=nets, permutations=perms)
 
 
+COLS = (-1, 0, 1)  # the width-tap offsets of a kw = 3 layer at width dilation 1
+
+
 class TestLayerQueue:
     def test_ring_wraparound(self):
-        q = LayerQueue(2, 3, 4, np.float64)
-        rows = [np.full((3, 4), float(i)) for i in range(5)]
+        q = LayerQueue(2, 3, 4, np.float64, COLS)
+        rows = [np.full((3, 1, 4), float(i)) for i in range(5)]
         for r in rows:
             q.push(r)
-        assert np.array_equal(q.read(1), rows[4])
-        assert np.array_equal(q.read(2), rows[3])
+        assert np.array_equal(q.read(1), rows[4][:, 0])
+        assert np.array_equal(q.read(2), rows[3][:, 0])
         assert np.array_equal(q.read(3), np.zeros((3, 4)))  # evicted: beyond capacity
 
     def test_reads_past_start_are_zero(self):
-        q = LayerQueue(4, 2, 3, np.float64)
+        q = LayerQueue(4, 2, 3, np.float64, COLS)
         assert np.array_equal(q.read(1), np.zeros((2, 3)))
-        q.push(np.ones((2, 3)))
+        q.push(np.ones((2, 1, 3)))
         assert np.array_equal(q.read(2), np.zeros((2, 3)))  # before first row
+        assert np.array_equal(q.taps(1), np.zeros((6, 3)))
         assert np.array_equal(q.read(1), np.ones((2, 3)))
 
     def test_reads_beyond_capacity_are_zero(self):
-        q = LayerQueue(2, 1, 1, np.float64)
+        q = LayerQueue(2, 1, 1, np.float64, COLS)
         for i in range(4):
-            q.push(np.full((1, 1), float(i + 1)))
+            q.push(np.full((1, 1, 1), float(i + 1)))
         assert q.read(3)[0, 0] == 0.0
 
     def test_zero_capacity_is_inert(self):
-        q = LayerQueue(0, 2, 2, np.float64)
-        q.push(np.ones((2, 2)))
-        assert q.pushed == 0
+        q = LayerQueue(0, 2, 2, np.float64, COLS)
+        q.push(np.ones((2, 1, 2)))
+        assert len(q.slots) == 1  # room for the current row's taps only
         assert np.array_equal(q.read(1), np.zeros((2, 2)))
+
+    def test_slots_hold_width_taps(self):
+        q = LayerQueue(1, 2, 4, np.float64, COLS)
+        x = np.arange(1.0, 9.0).reshape(2, 4)
+        q.push(x[:, None])
+        taps = q.taps(0).reshape(3, 2, 4)  # the newest row's
+        zero = np.zeros((2, 1))
+        assert np.array_equal(taps[0], np.hstack([zero, x[:, :-1]]))  # column j reads j - 1
+        assert np.array_equal(taps[1], x)
+        assert np.array_equal(taps[2], np.hstack([x[:, 1:], zero]))  # column j reads j + 1
 
 
 class TestQueueContents:
@@ -102,6 +141,28 @@ class TestQueueContents:
         for ell, layer in enumerate(net.layers):
             cap = (net.kernel_h - 1) * layer.dilation_h
             for delay in range(1, min(cap, h) + 1):
+                row = qs.queues[ell].read(delay)
+                assert np.abs(row - hidden[ell][:, h - delay, :]).max() <= 1e-12
+
+    def test_dilated_schedule_with_width_dilations(self):
+        # the h = 64 height schedule reaches 32 rows back; the width taps of
+        # every slot are dilated too
+        h, w, dil_h = 40, 6, [1, 2, 4, 8, 16]
+        rng = np.random.default_rng(2)
+        net = moderate_net(rng, dil_h, [2, 4, 8, 16, 32])
+        cnet = compile_net(net)
+        qs = QueueState.for_net(cnet, w, np.float64, net.residual_channels)
+        z = rng.standard_normal((h, w))
+        out = np.zeros_like(z)
+        prev = np.zeros(w)
+        for i in range(h):
+            mu_i, ls_i = _row_step(cnet, qs, prev, None, None)
+            out[i] = (z[i] - mu_i) / np.exp(ls_i)
+            prev = out[i]
+        shifted = ad.shift_down(ad.Tensor(out))
+        _, _, hidden = taped_net_forward(shifted, None, net, collect_hidden=True)
+        for ell, layer in enumerate(net.layers):
+            for delay in range(1, (net.kernel_h - 1) * layer.dilation_h + 1):
                 row = qs.queues[ell].read(delay)
                 assert np.abs(row - hidden[ell][:, h - delay, :]).max() <= 1e-12
 
@@ -133,6 +194,24 @@ class TestEngineEquivalence:
         stack = rigged_stack(16, 2, 30, dil_h=[1, 2])
         z = np.random.default_rng(31).standard_normal((16, 4))
         assert np.abs(stack_forward(z, None, stack) - synth_queued(z, None, stack)).max() <= 1e-10
+
+    def test_h64_schedules_with_conditioner(self):
+        # the real h = 64 height schedule and the full width cycle (up to
+        # 128, so a width of 24 is narrower than the width reach), with a
+        # random conditioner grid per flow
+        h, w, n_flows, m = 64, 24, 2, 5
+        rng = np.random.default_rng(80)
+        nets = [
+            moderate_net(rng, default_dilations(h), width_dilations(8), cond_ch=m)
+            for _ in range(n_flows)
+        ]
+        stack = FlowStack(nets=nets, permutations=[reverse_permutation(h)] * n_flows)
+        conds = [rng.standard_normal((m, h, w)) for _ in range(n_flows)]
+        z = rng.standard_normal((h, w))
+        x_naive = stack_forward(z, conds, stack)
+        x_queued = synth_queued(z, conds, stack)
+        assert np.abs(x_naive - x_queued).max() <= 1e-12
+        assert np.abs(x_naive - z).max() > 0.1  # every flow moved the data
 
     def test_wrong_cond_count_rejected(self):
         stack = rigged_stack(4, 2, 40)
@@ -168,6 +247,20 @@ class TestConstantRowCost:
             stats = SynthStats()
             synth_queued(z, None, stack, stats=stats)
             assert len(set(stats.row_flops)) == 1  # every row costs the same
+
+    def test_conditioned_count_by_hand(self):
+        # multiply-adds per column: the input projection (R), per layer the
+        # 3 x 3 taps (9 R x 2R), the conditioner (M x 2R) and the residual
+        # and skip projections (R x 2R), then the skip head (R x R) and the
+        # output head (R x 2)
+        r, m, h, w = 3, 5, 4, 6
+        net = init_conv_net(r, 2, cond_channels=m, rng=np.random.default_rng(63))
+        stack = FlowStack(nets=[net], permutations=[identity_permutation(h)])
+        cond = np.random.default_rng(64).standard_normal((m, h, w)).astype(np.float32)
+        stats = SynthStats()
+        synth_queued(np.zeros((h, w), dtype=np.float32), [cond], stack, stats=stats)
+        per_col = r + 2 * (9 * r * 2 * r + m * 2 * r + r * 2 * r) + r * r + r * 2
+        assert stats.row_flops == [per_col * w] * h
 
     def test_flop_count_shared_across_inputs(self):
         stack = rigged_stack(8, 1, 62)
