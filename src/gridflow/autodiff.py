@@ -7,8 +7,8 @@ order, accumulating gradients in an id-keyed dict, so no gradient state
 leaks between training steps; each node's incoming gradient is dropped once
 the node has used it. Whatever a node's closure keeps stays alive until the
 tape is dropped. For the small ops here that is their inputs; a whole conv
-net is one node (network.net_forward) that keeps only its layer inputs and
-gate outputs.
+net is one node (network.net_forward) that keeps only its gate outputs, its
+last layer's input and its skip sum.
 
 The op set is exactly what the engine needs: add, sub, mul, exp, sigmoid,
 leaky ReLU, sums, shape ops, a row shift, a row permutation, and dilated 2-D

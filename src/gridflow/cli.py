@@ -59,6 +59,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gridflow",
@@ -90,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mel", help="mel tensor file base (from the mel command)")
     p.add_argument("--wav", help="WAV file to take the conditioning mel from")
-    p.add_argument("--samples", type=int, default=None, help="length when unconditioned")
+    p.add_argument("--samples", type=positive_int, default=None, help="length when unconditioned")
     p.add_argument("--std", type=float, default=1.0)
     p.add_argument("--engine", choices=("queued", "naive"), default="queued")
     p.add_argument("--out", required=True)

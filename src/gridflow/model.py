@@ -166,6 +166,8 @@ def check_sample_rate(model: Model, rate: int) -> None:
 def prepare_grid(model: Model, wav: Waveform):
     """Pad, squeeze, and build conditioner grids for one waveform."""
     check_sample_rate(model, wav.sample_rate)
+    if len(wav) == 0:
+        raise ValidationError("waveform has no samples")
     samples, pad = pad_to_multiple(
         np.asarray(wav.samples, dtype=model.dtype), model.config.height
     )
@@ -201,6 +203,8 @@ def synthesize(
     """Draw audio from the model; mel is required for conditioned models."""
     from .synth import synth_queued  # local import; synth depends on this module
 
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be >= 1, got {n_samples}")
     if rng is None:
         rng = np.random.default_rng(0)
     h = model.config.height

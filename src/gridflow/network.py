@@ -17,10 +17,13 @@ compile_net has materialized once (weight norm applied, each filter split
 per height tap): kh GEMMs over views of one width-tap buffer plus the
 conditioner's projection, in one accumulation. The samplers call it directly.
 net_forward, which likelihood and training call, wraps it as one tape node:
-while a tape records, that node keeps each layer's input and gate outputs,
-and its hand-written backward rebuilds each layer's buffer from the saved
-input in ad.tap_conv_adjoint, as ad.conv2d does. The op-by-op taped net
-lives on in the tests as the oracle.
+while a tape records, that node keeps each layer's gate outputs, the last
+layer's input and the skip sum. Its hand-written backward walks the layers
+top-down and rebuilds each lower layer's input from the additive residual
+stream, x_l = x_(l+1) - (res_proj_l hid_l + res_bias_l), as reversible
+residual nets do (Gomez et al. 2017); ad.tap_conv_adjoint then rebuilds the
+layer's tap buffer from it, as ad.conv2d does. The op-by-op taped net lives
+on in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -296,8 +299,8 @@ def compiled_forward(
     shifted grid; the queued sampler passes one row and reads its ring
     slots. cond_rows is cond_biases' (M, n, w) grid for the same rows; each
     layer adds its projection of it to the kh tap GEMMs. If `saved` is a
-    list, each layer's (input, tanh gate, sigmoid gate) is appended to it,
-    then (skip sum, head before its ReLU): what net_forward's backward reads.
+    list, each layer's (tanh gate, sigmoid gate) is appended to it, then
+    (last layer's input, skip sum): what net_forward's backward reads.
     """
     n, w = rows.shape
     cond = None if cond_rows is None else cond_rows.reshape(len(cond_rows), n * w)
@@ -316,7 +319,8 @@ def compiled_forward(
         pre += layer.bias[:, None]
         gate_t, gate_s = np.tanh(pre[:r_ch]), ad.logistic(pre[r_ch:])
         if saved is not None:
-            saved.append((x, gate_t.reshape(r_ch, n, w), gate_s.reshape(r_ch, n, w)))
+            saved.append((gate_t.reshape(r_ch, n, w), gate_s.reshape(r_ch, n, w)))
+            x_last = x
         hid = gate_t * gate_s
         res_skip = layer.proj_w @ hid + layer.proj_b[:, None]
         x = x + res_skip[:r_ch].reshape(r_ch, n, w)
@@ -324,7 +328,7 @@ def compiled_forward(
         del hs, pre, gate_t, gate_s, hid, res_skip  # freed before the next layer allocates
     head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
     if saved is not None:
-        saved.append((skip, head))
+        saved.append((x_last, skip))
     out = cnet.out_w @ np.maximum(head, 0.0) + cnet.out_b[:, None]
     return out[0].reshape(n, w), out[1].reshape(n, w)
 
@@ -383,7 +387,8 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
         grads.update(zip(map(id, nw.parameters()), nw.adjoint(dw)))
 
     d_out = g.reshape(2, m)
-    skip, head = saved[-1]
+    x, skip = saved[-1]  # the last layer's input; the head is compiled_forward's expression
+    head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
     grads[id(net.out_head)] = (d_out @ np.maximum(head, 0.0).T).reshape(net.out_head.data.shape)
     grads[id(net.out_head_bias)] = d_out.sum(axis=1)
     d_head = (cnet.out_w.T @ d_out) * (head > 0)
@@ -392,13 +397,15 @@ def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
     d_skip = (cnet.skip_head_w.T @ d_head) * (skip > 0)
     cond_flat = None if cond is None else cond.reshape(cond.shape[0], m)
     d_cond = None if cond is None else np.zeros_like(cond_flat)
-    d_x = np.zeros_like(saved[0][0])  # gradient of the residual stream, (R, n, w)
-    for layer, cl, (x, gate_t, gate_s) in zip(
-        reversed(net.layers), reversed(cnet.layers), reversed(saved[:-1])
+    d_x = np.zeros_like(x)  # gradient of the residual stream, (R, n, w)
+    for li, (layer, cl, (gate_t, gate_s)) in enumerate(
+        zip(reversed(net.layers), reversed(cnet.layers), reversed(saved[:-1]))
     ):
         r_ch = cl.proj_w.shape[1]
         gate_t, gate_s = gate_t.reshape(r_ch, m), gate_s.reshape(r_ch, m)
         hid = gate_t * gate_s
+        if li:  # this layer's input: the one above minus this layer's residual output
+            x = x - (cl.proj_w[:r_ch] @ hid + cl.proj_b[:r_ch, None]).reshape(x.shape)
         d_res = d_x.reshape(r_ch, m)
         weight(layer.skip_proj, d_skip @ hid.T)
         grads[id(layer.skip_bias)] = d_skip.sum(axis=1)

@@ -3,7 +3,8 @@
 The loss is the negative per-dimension log-likelihood averaged over the
 batch. Gradients come from the tape, one clip at a time: each clip is
 recorded and backpropagated on its own tape, so a step holds one clip's
-activations (per flow, each layer's input and gate outputs). Adam carries
+activations (per flow, each layer's gate outputs, the last layer's input
+and the skip sum: 2 * n_layers + 2 arrays of R x clip values). Adam carries
 per-parameter first and second moments with bias correction. Steps whose
 gradients contain any non-finite value are skipped (counted, moments
 untouched); a non-finite loss aborts the run after dumping the offending
@@ -45,6 +46,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1 or self.clip_length < 1 or self.max_steps < 1:
             raise ValidationError("batch_size, clip_length, max_steps must be >= 1")
+        if self.checkpoint_interval < 1 or self.log_every < 1:
+            raise ValidationError("checkpoint_interval and log_every must be >= 1")
 
 
 @dataclass

@@ -355,6 +355,41 @@ class TestFileSystemErrors:
         assert unraisable == []
 
 
+class TestBadArguments:
+    """Values no command can run with stop before any work, without a traceback."""
+
+    def test_train_checkpoint_interval_zero(self, corpus, capsys):
+        tmp_path, manifest, config = corpus
+        out_dir = tmp_path / "run"
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "train", "--config", config, "--data", manifest, "--out-dir", out_dir,
+            "--steps", 1, "--batch", 1, "--clip", 512, "--checkpoint-interval", 0,
+        )
+        assert "checkpoint_interval" in err and "Traceback" not in err
+        assert not out_dir.exists()  # no step ran, so no metrics or checkpoint
+
+    def test_loglik_empty_wav(self, tmp_path, capsys):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        write_wav(tmp_path / "empty.wav", Waveform(np.zeros(0), 22050))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "loglik", "--checkpoint", tmp_path / "ck", "--wav", tmp_path / "empty.wav"
+        )
+        assert "no samples" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_synth_non_positive_samples(self, tmp_path, capsys, samples):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        out = tmp_path / "x.wav"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("synth", "--checkpoint", tmp_path / "ck", "--samples", samples, "--out", out)
+        assert exit_info.value.code == 2  # argparse's usage error
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "--samples" in errors[0] and "positive integer" in errors[0]
+        assert not out.exists()
+
+
 class TestMalformedTensorFiles:
     """Tensor files of the wrong structure exit 1 with one error line."""
 

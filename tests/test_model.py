@@ -13,6 +13,7 @@ from gridflow.model import (
     loglik,
     permutation_schedule,
     prepare_grid,
+    synthesize,
 )
 from gridflow.signal import Waveform
 
@@ -111,6 +112,11 @@ class TestPrepareGrid:
         with pytest.raises(ValidationError, match="sample rate"):
             prepare_grid(model, Waveform(np.zeros(8), 16000))
 
+    def test_empty_waveform_rejected(self):
+        model = build_model(tiny_config(), seed=0)
+        with pytest.raises(ValidationError, match="no samples"):
+            prepare_grid(model, Waveform(np.zeros(0), 22050))
+
     def test_conditioned_grids_align(self):
         model = build_model(tiny_config(conditioned=True), seed=0, dtype=np.float64)
         n = 256
@@ -138,3 +144,11 @@ class TestLoglik:
         quiet = loglik(model, Waveform(np.zeros(64), 22050))
         loud = loglik(model, Waveform(np.random.default_rng(2).standard_normal(64), 22050))
         assert quiet.per_dim > loud.per_dim
+
+
+class TestSynthesize:
+    @pytest.mark.parametrize("n_samples", [0, -5])
+    def test_non_positive_length_rejected(self, n_samples):
+        model = build_model(tiny_config(), seed=0)
+        with pytest.raises(ValidationError, match="n_samples"):
+            synthesize(model, None, n_samples)

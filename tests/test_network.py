@@ -276,6 +276,20 @@ class TestForwardMemory:
         assert peak / 2**20 <= self.PEAK_BOUND_MIB
 
 
+class TestSavedForBackward:
+    def test_conditioned_net_keeps_two_arrays_per_layer_plus_two(self):
+        # wf-h16-c64's layer shapes (R = 64, M = 80, 8 layers) on a 2,048-sample
+        # fp32 grid: gates of every layer, the last layer's input, the skip sum
+        rng = np.random.default_rng(32)
+        cnet = compile_net(init_conv_net(64, 8, cond_channels=80, rng=rng))
+        rows = rng.standard_normal((16, 128)).astype(np.float32)
+        cond = rng.standard_normal((80, 16, 128)).astype(np.float32)
+        saved = []
+        compiled_forward(cnet, rows, cond_biases(cnet, cond), saved=saved)
+        nbytes = sum(a.nbytes for pair in saved for a in pair)
+        assert nbytes <= (2 * 8 + 2) * 64 * 16 * 128 * 4
+
+
 class TestNetBackward:
     """net_forward's hand-written backward against the op-by-op taped net."""
 
@@ -374,18 +388,28 @@ class TestShapes:
         assert ls.data.shape == (32, 7)
 
     def test_collect_hidden_layer_inputs(self):
-        # what the compiled forward saves for the backward: each layer's
-        # input, equal to the taped net's, then the skip sum and head
-        net = init_conv_net(3, 4, rng=np.random.default_rng(18), dtype=np.float64)
+        # what the compiled forward saves for the backward gives back each
+        # layer's input, equal to the taped net's: the last one is stored,
+        # each lower one is the input above minus that layer's residual output
+        net = _random_net(np.random.default_rng(18), 3, 3, [1, 2, 1, 2], [1, 2, 4, 1], None)
         x = np.random.default_rng(19).standard_normal((8, 5))
         _, _, hidden = taped_net_forward(x, None, net, collect_hidden=True)
         saved = []
         compiled_forward(compile_net(net), x, saved=saved)
         assert len(hidden) == 4 and len(saved) == 5
-        for hh, (layer_in, gate_t, gate_s) in zip(hidden, saved):
-            assert hh.shape == layer_in.shape == gate_t.shape == gate_s.shape == (3, 8, 5)
-            assert np.abs(layer_in - hh).max() <= 1e-12
-        assert all(a.shape == (3, 40) for a in saved[-1])
+        assert [a.size for pair in saved for a in pair] == [4 * 40] * (2 * 4 + 2)
+        for gate_t, gate_s in saved[:-1]:
+            assert gate_t.shape == gate_s.shape == (4, 8, 5)
+        layer_in = saved[-1][0]
+        assert layer_in.shape == (4, 8, 5)
+        assert np.abs(layer_in - hidden[-1]).max() <= 1e-12
+        for li in range(2, -1, -1):
+            gate_t, gate_s = saved[li]
+            res_w = net.layers[li].res_proj.tensor().data[:, :, 0, 0]
+            res = np.einsum("oc,cij->oij", res_w, gate_t * gate_s)
+            layer_in = layer_in - res - net.layers[li].res_bias.data[:, None, None]
+            assert np.abs(layer_in - hidden[li]).max() <= 1e-12
+        assert min(np.abs(a - b).max() for a, b in zip(hidden, hidden[1:])) > 0.1
 
     def test_conditioner_grid_shape_enforced(self):
         net = init_conv_net(2, 1, rng=np.random.default_rng(20))

@@ -1,5 +1,6 @@
 """Optimizer behavior, clip sampling, loss terms, and the training loop."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -47,6 +48,14 @@ def sine_utterance(n, freq=440.0, seed=0, mel_config=None):
     x = 0.3 * np.sin(2 * np.pi * freq * t) + 0.01 * rng.standard_normal(n)
     wav = Waveform(samples=x.astype(np.float64), sample_rate=22050)
     return Utterance(wav, mel_config or MelConfig(n_mels=8, n_fft=64, hop=16, win=64))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["checkpoint_interval", "log_every"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_interval_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestAdam:
@@ -252,9 +261,10 @@ class TestBatchGradients:
 
 
 class TestStepMemory:
-    # tracemalloc peak of this step, measured: 204.8 MiB (was 1,858 MiB with
-    # the op-by-op tape holding both clips); per clip the nets keep
-    # 8 flows x 8 layers x 3 x 64 x 2,048 fp32 values (96 MiB)
+    # tracemalloc peak of this step, measured: 165.0 MiB (196.0 MiB when each
+    # net kept every layer's input and its head; 1,858 MiB with the op-by-op
+    # tape holding both clips); per clip the nets keep
+    # 8 flows x (2 x 8 + 2) x 64 x 2,048 fp32 values (72 MiB)
     PEAK_BOUND_MIB = 256
 
     def test_train_h16_step_peak_bounded(self):
@@ -266,6 +276,25 @@ class TestStepMemory:
         tracemalloc.start()
         try:
             train_loop(model, ds, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= self.PEAK_BOUND_MIB
+
+
+class TestClipMemory:
+    # tracemalloc peak of one clip's step on wf-h16-c64 cut to 4 flows
+    # (fp32, 2,048 samples), measured: 92.8 MiB when each net kept every
+    # layer's input, its gates, the skip sum and the head; 77.8 MiB when it
+    # keeps the gates, the last layer's input and the skip sum
+    PEAK_BOUND_MIB = 85
+
+    def test_reduced_h16_clip_peak_bounded(self):
+        model = build_model(dataclasses.replace(load_preset("wf-h16-c64"), n_flows=4), seed=0)
+        utt = sine_utterance(4096, 220.0, 0, model.config.mel)
+        tracemalloc.start()
+        try:
+            batch_gradients(model, [(utt, 0)], 2048)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
