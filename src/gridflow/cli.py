@@ -1,15 +1,16 @@
 """Command-line interface: train, synth, loglik, bench, verify, mel.
 
 Every command takes --seed and --precision {fp32, fp64}. Exit codes: 0 on
-success, 1 for validation problems (bad or missing files, unwritable
-outputs, configs, shapes), 2 for numerical aborts (non-finite values, failed
-checks at the numerical level).
+success, 1 for usage and validation problems (bad option values, bad or
+missing files, unwritable outputs, configs, shapes), 2 for numerical aborts
+(non-finite values, failed checks at the numerical level).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -59,6 +60,14 @@ def main(argv=None) -> int:
         return 2
 
 
+class Parser(argparse.ArgumentParser):
+    """A usage error prints one "error: ..." line and exits 1, like any bad input."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
 def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -66,8 +75,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="gridflow",
         description="Likelihood-trained flow over squeezed waveform grids.",
     )
@@ -85,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset manifest (NDJSON)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=2e-4)
+    p.add_argument("--lr", type=positive_float, default=2e-4)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--clip", type=int, default=16000)
     p.add_argument("--checkpoint-interval", type=int, default=500)
@@ -98,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mel", help="mel tensor file base (from the mel command)")
     p.add_argument("--wav", help="WAV file to take the conditioning mel from")
     p.add_argument("--samples", type=positive_int, default=None, help="length when unconditioned")
-    p.add_argument("--std", type=float, default=1.0)
+    p.add_argument("--std", type=positive_float, default=1.0)
     p.add_argument("--engine", choices=("queued", "naive"), default="queued")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth)
@@ -113,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint")
     p.add_argument("--config", help="bench a fresh model instead of a checkpoint")
-    p.add_argument("--seconds", type=float, default=0.25, help="audio length to generate")
+    p.add_argument("--seconds", type=positive_float, default=0.25, help="audio length to generate")
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("verify", help="run the built-in self checks")

@@ -14,6 +14,9 @@ The result is cut to h*w samples and squeezed into an (n_mels, h, w) grid
 column-major, exactly like the waveform, so grid entry (m, i, j) conditions
 waveform grid entry (i, j). Per-flow copies are then row-permuted
 cumulatively to track the latent's row order.
+
+Both steps are plain numpy with hand-written backwards: upsample_backward
+and conditioner_grids_adjoint, which training runs after the flows'.
 """
 
 from __future__ import annotations
@@ -23,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import ValidationError
-from .network import NormedWeight, _normed
+from .network import NormedWeight, _normed, add_grad
 from .signal import Permutation, Waveform
 
 LEAKY_SLOPE = 0.4
@@ -140,54 +143,87 @@ def init_upsampler(
     )
 
 
-def upsample(mel_frames, up: UpsamplerParams) -> Tensor:
+def upsample(mel_frames, up: UpsamplerParams, saved=None) -> np.ndarray:
     """(n_frames, n_mels) log-mel -> (n_mels, n_frames * hop) features.
 
     Each layer is a transposed conv with time stride s, kernel (3, 2s) and
     pads (1, s // 2). Output phase r of the stride sees only kernel taps r
     and s + r, so the layer is a plain conv2d with s output channels over
     the flipped taps, whose channels interleave in time before the trim.
+    If `saved` is a list, each layer appends its input, its flipped filter
+    and its pre-activation for upsample_backward.
     """
-    x = mel_frames if isinstance(mel_frames, Tensor) else Tensor(np.asarray(mel_frames))
     s = up.stride
-    feat = ad.transpose(x, (1, 0))  # mel bands become rows
+    feat = mel_frames.T  # mel bands become rows
     for kern, bias in ((up.kernel1, up.bias1), (up.kernel2, up.bias2)):
-        n_mels, t = feat.data.shape
-        k = ad.permute_rows(ad.reshape(kern.tensor(), (3, 2, s)), [1, 0])  # flip taps
-        k = ad.permute_rows(ad.transpose(k, (2, 0, 1)), [2, 1, 0])  # flip height
-        phases = ad.conv2d(
-            ad.reshape(feat, (1, n_mels, t)),
-            ad.reshape(k, (s, 1, 3, 2)),
-            pad=((2, 2), (1, 1)),
-        )
-        full = ad.reshape(ad.transpose(phases, (1, 2, 0)), (n_mels + 2, (t + 1) * s))
-        feat = ad.narrow(ad.narrow(full, 0, 1, n_mels), 1, s // 2, (t + 1) * s - 2 * (s // 2))
-        feat = ad.leaky_relu(feat + bias, LEAKY_SLOPE)
+        n_mels, t = feat.shape
+        # phase r's filter: taps r and s + r, both axes flipped
+        k = kern.tensor().reshape(3, 2, s)[::-1, ::-1].transpose(2, 0, 1)[:, None]
+        phases = ad.conv2d(feat[None], k, pad=((2, 2), (1, 1)))
+        full = phases.transpose(1, 2, 0).reshape(n_mels + 2, (t + 1) * s)
+        pre = full[1 : n_mels + 1, s // 2 : (t + 1) * s - s // 2] + bias.data
+        if saved is not None:
+            saved.append((feat, k, pre))
+        feat = np.where(pre >= 0, pre, LEAKY_SLOPE * pre)
     return feat
 
 
+def upsample_backward(saved: list, up: UpsamplerParams, d_feat, grads: dict) -> np.ndarray:
+    """Backward of upsample: pops its entries, adds parameter gradients into
+    grads and returns the gradient of the (n_frames, n_mels) frames."""
+    s = up.stride
+    for kern, bias in ((up.kernel2, up.bias2), (up.kernel1, up.bias1)):
+        feat, k, pre = saved.pop()
+        d_pre = np.where(pre >= 0, d_feat, LEAKY_SLOPE * d_feat)
+        add_grad(grads, bias, d_pre.sum())
+        n_mels, t = feat.shape
+        d_full = np.zeros((n_mels + 2, (t + 1) * s), dtype=d_pre.dtype)
+        d_full[1 : n_mels + 1, s // 2 : (t + 1) * s - s // 2] = d_pre  # the trim's adjoint
+        d_phases = d_full.reshape(n_mels + 2, t + 1, s).transpose(2, 0, 1)  # the interleave's
+        d_k, d_x = ad.conv2d_adjoint(d_phases, feat[None], k, pad=((2, 2), (1, 1)))
+        kern.add_grad(grads, d_k[:, 0].transpose(1, 2, 0)[::-1, ::-1])  # the flips'
+        d_feat = d_x[0]
+    return d_feat.T
+
+
 def conditioner_grids_for_length(
-    features, n_samples: int, h: int, permutations: list[Permutation]
-) -> list[Tensor]:
+    features, n_samples: int, h: int, permutations: list[Permutation], saved=None
+) -> list[np.ndarray]:
     """Cut features to n_samples, less any ragged tail, squeeze, and track row orders.
 
     Returns one (M, h, w) grid per flow, w = n_samples // h: grid k is the
     squeezed features with permutations 0..k-1 applied cumulatively,
-    matching the row order the k-th flow's input arrives in.
+    matching the row order the k-th flow's input arrives in. If `saved` is
+    a list, the features' shape and the permutations are appended for
+    conditioner_grids_adjoint.
     """
-    ft = features if isinstance(features, Tensor) else Tensor(np.asarray(features))
-    n_mels, t = ft.data.shape
+    n_mels, t = features.shape
     if t < n_samples:
         raise ValidationError(f"features cover {t} samples, need {n_samples}")
     w = n_samples // h
     if w == 0:
         raise ValidationError(f"{n_samples} samples do not fill a column; need at least {h}")
-    if t > w * h:
-        ft = ad.narrow(ft, 1, 0, w * h)
     # column-major squeeze on the time axis, matching the waveform layout
-    grid = ad.transpose(ad.reshape(ft, (n_mels, w, h)), (0, 2, 1))
+    grid = features[:, : w * h].reshape(n_mels, w, h).transpose(0, 2, 1)
     grids = [grid]
     for perm in permutations[:-1]:
-        grid = ad.permute_rows(grid, perm.row_map)
+        grid = np.empty_like(grid)
+        grid[:, perm.row_map] = grids[-1]
         grids.append(grid)
+    if saved is not None:
+        saved.append((features.shape, permutations))
     return grids
+
+
+def conditioner_grids_adjoint(saved: list, d_grids) -> np.ndarray:
+    """Per-flow grid gradients -> feature gradient: each folded back through
+    the cumulative permutations (gather, then add), then the squeeze's and
+    the trim's adjoints."""
+    (n_mels, t), permutations = saved.pop()
+    d = d_grids[-1]
+    for perm, d_grid in zip(permutations[-2::-1], d_grids[-2::-1]):
+        d = d[:, perm.row_map] + d_grid
+    _, h, w = d.shape
+    d_feat = np.zeros((n_mels, t), dtype=d.dtype)
+    d_feat[:, : w * h] = d.transpose(0, 2, 1).reshape(n_mels, w * h)
+    return d_feat

@@ -9,8 +9,10 @@ with (mu, log sigma) computed by the conv net from the rows strictly above i
 diagonal sigma, so log|det| is just sum(log sigma). Stacks compose several
 flows, permuting grid rows (and the conditioner) between flows. This
 direction, and so likelihood and training, runs net_forward: the compiled
-kernel over the whole grid, recorded on the tape as one node per flow when
-gradients are wanted.
+kernel over the whole grid. Given a saved list, each step keeps what its
+backward reads, and stack_backward runs the closed-form adjoints in
+reverse: the permutation, the affine map and its log-det, the net, the row
+shift.
 
 The sampling direction inverts row by row: row i of X needs only rows < i,
 so h sequential net evaluations reconstruct the grid exactly. Both sampling
@@ -28,10 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import NumericalError, ValidationError
-from .network import ConvNetParams, compile_net, compiled_forward, cond_biases, net_forward
+from .network import (
+    ConvNetParams,
+    compile_net,
+    compiled_forward,
+    cond_biases,
+    net_backward,
+    net_forward,
+)
 from .signal import Permutation
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -87,21 +94,24 @@ class SynthStats:
     row_flops: list[int] = field(default_factory=list)
 
 
-def flow_inverse(x, cond, net: ConvNetParams) -> tuple[Tensor, Tensor]:
-    """Density direction for one flow: grid -> (Z, log_det).
+def flow_inverse(x, cond, net: ConvNetParams, saved=None, flow: int = 0):
+    """Density direction for one flow: grid -> (Z, log_det), arrays.
 
-    Differentiable; returns Tensors. Aborts with the grid location of the
-    first non-finite (mu, log sigma) entry.
+    Given a saved list, appends net_forward's entry, then (x, sigma). Aborts
+    naming the flow and grid location of the first non-finite (mu, log sigma).
     """
-    xt = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    mu, log_sigma = net_forward(ad.shift_down(xt), cond, net)
+    shifted = np.zeros_like(x)
+    shifted[1:] = x[:-1]  # row i sees rows strictly above it
+    mu, log_sigma = net_forward(shifted, cond, net, saved)
     for name, t in (("mu", mu), ("log_sigma", log_sigma)):
-        bad = ~np.isfinite(t.data)
+        bad = ~np.isfinite(t)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise NumericalError(f"non-finite {name} at grid row {i}, column {j}")
-    z = ad.exp(log_sigma) * xt + mu
-    return z, ad.sum_(log_sigma)
+            raise NumericalError(f"non-finite {name} in flow {flow} at grid row {i}, column {j}")
+    sigma = np.exp(log_sigma)
+    if saved is not None:
+        saved.append((x, sigma))
+    return sigma * x + mu, log_sigma.sum()
 
 
 def floored_sigma(log_sigma: np.ndarray, stats: SynthStats | None = None) -> np.ndarray:
@@ -148,30 +158,50 @@ def flow_forward(
     return x
 
 
-def stack_loglik_terms(x, conds, stack: FlowStack):
-    """Differentiable core: grid -> (Z0, log_det sum, standard-normal term).
+def stack_loglik_terms(x, conds, stack: FlowStack, saved=None):
+    """Density core: grid -> (Z0, log_det sum, standard-normal term).
 
     `conds` is a per-flow list of conditioner grids (or None), each already
-    aligned to its flow's input row order.
+    aligned to its flow's input row order. If `saved` is a list, each
+    flow's entries and then the latent are appended for stack_backward.
     """
-    z = x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-    n_dims = z.data.size
-    log_det = None
-    for net, perm, cond in zip(stack.nets, stack.permutations, _conds(conds, stack)):
-        z, ld = flow_inverse(z, cond, net)
-        z = ad.permute_rows(z, perm.row_map)
+    z, log_det = x, None
+    flows = zip(stack.nets, stack.permutations, _conds(conds, stack))
+    for k, (net, perm, cond) in enumerate(flows):
+        y, ld = flow_inverse(z, cond, net, saved, k)
+        z = np.empty_like(y)
+        z[perm.row_map] = y
         log_det = ld if log_det is None else log_det + ld
-    base = ad.sum_(z * z) * -0.5 - 0.5 * n_dims * LOG_2PI
+    base = (z * z).sum() * -0.5 - 0.5 * z.size * LOG_2PI
+    if saved is not None:
+        saved.append(z)
     return z, log_det, base
+
+
+def stack_backward(saved: list, stack: FlowStack, d_log_det, d_base, grads: dict):
+    """Backward of stack_loglik_terms for the gradients of its log_det and base.
+
+    Pops its entries flow by flow, so a flow's activations go once its
+    gradients exist. Adds parameter gradients into grads; returns the grid's
+    gradient and the per-flow conditioner gradients (None if unconditioned).
+    """
+    dz = -d_base * saved.pop()
+    d_conds = []
+    for net, perm in zip(reversed(stack.nets), reversed(stack.permutations)):
+        dz = dz[perm.row_map]  # the scatter's adjoint
+        x, sigma = saved.pop()
+        d_rows, d_cond = net_backward(saved, dz, dz * sigma * x + d_log_det, grads)
+        dz = dz * sigma
+        dz[:-1] += d_rows[1:]  # the row shift's adjoint
+        d_conds.append(d_cond)
+    return dz, d_conds[::-1]
 
 
 def stack_inverse(x, conds, stack: FlowStack) -> tuple[np.ndarray, LikelihoodReport]:
     """Grid -> latent plus its exact likelihood report."""
     z, log_det, base = stack_loglik_terms(x, conds, stack)
-    report = LikelihoodReport(
-        log_det=float(log_det.data), base_term=float(base.data), n_dims=z.data.size
-    )
-    return z.data, report
+    report = LikelihoodReport(log_det=float(log_det), base_term=float(base), n_dims=z.size)
+    return z, report
 
 
 def stack_forward(

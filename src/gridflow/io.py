@@ -11,7 +11,8 @@ tensor, shape mismatch, truncated blob.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
@@ -43,6 +44,10 @@ class ModelConfig:
     def __post_init__(self):
         if isinstance(self.mel, dict):
             self.mel = MelConfig(**self.mel)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and type(value) is not int:  # bool, "4" and 4.0 are not ints
+                raise ValidationError(f"{f.name} must be an integer, got {value!r}")
         if self.height < 1 or self.n_flows < 1 or self.n_layers < 1:
             raise ValidationError("height, n_flows, n_layers must be >= 1")
         if self.residual_channels < 1:
@@ -55,15 +60,11 @@ class ModelConfig:
             raise ValidationError("dilations_h must have one entry per layer")
 
 
-_CONFIG_KEYS = None
-
-
 def config_from_dict(d: dict) -> ModelConfig:
     """Strict parse: unknown keys are errors, not silently dropped."""
-    global _CONFIG_KEYS
-    if _CONFIG_KEYS is None:
-        _CONFIG_KEYS = set(ModelConfig.__dataclass_fields__)
-    unknown = set(d) - _CONFIG_KEYS
+    if not isinstance(d, dict):
+        raise ValidationError(f"config is not a JSON object: {d!r}")
+    unknown = set(d) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return ModelConfig(**d)
@@ -196,12 +197,16 @@ def read_dataset_manifest(path) -> list[DatasetEntry]:
             d = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValidationError(f"manifest line {ln} is not valid JSON: {e}")
-        if "path" not in d or "duration" not in d:
-            raise ValidationError(f"manifest line {ln} needs 'path' and 'duration'")
+        duration = d.get("duration") if isinstance(d, dict) else None
+        finite = type(duration) in (int, float) and math.isfinite(duration)
+        if not finite or not isinstance(d.get("path"), str):
+            raise ValidationError(
+                f"manifest line {ln} needs a string 'path' and a finite number 'duration'"
+            )
         wav_path = Path(d["path"])
         if not wav_path.is_absolute():
             wav_path = man.parent / wav_path
-        entries.append(DatasetEntry(path=str(wav_path), duration=float(d["duration"])))
+        entries.append(DatasetEntry(path=str(wav_path), duration=float(duration)))
     if not entries:
         raise ValidationError(f"dataset manifest is empty: {man}")
     return entries

@@ -4,7 +4,10 @@ A model is the flow stack (one conv net and one row permutation per flow),
 the mel upsampler, and the config that rebuilt them. Whole-waveform
 likelihood pads to a multiple of the height, squeezes, builds per-flow
 conditioner grids from the mel frames, and runs the stack in the density
-direction. Synthesis draws a latent grid, runs the stack in the sampling
+direction. grid_nll is the training loss of one grid: while a tape
+records, it is the tape's one node per clip, and its backward chains the
+hand-written backwards of the flows, the conditioner grids and the
+upsampler. Synthesis draws a latent grid, runs the stack in the sampling
 direction (naive or queued), unsqueezes, and trims the pad.
 """
 
@@ -14,11 +17,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from . import conditioner as cond_mod
 from .autodiff import Parameter, Tensor
 from .conditioner import MelSpectrogram, UpsamplerParams, init_upsampler, upsample
 from .errors import CheckpointError, NumericalError, ValidationError
-from .flow import FlowStack, LikelihoodReport, SynthStats, stack_forward, stack_inverse
+from .flow import (
+    FlowStack,
+    LikelihoodReport,
+    SynthStats,
+    stack_backward,
+    stack_forward,
+    stack_inverse,
+    stack_loglik_terms,
+)
 from .io import (
     ModelConfig,
     config_from_dict,
@@ -145,13 +157,13 @@ def cast_model(model: Model, dtype) -> Model:
 # conditioning
 
 
-def conditioner_grids(model: Model, mel: MelSpectrogram, n_samples: int):
+def conditioner_grids(model: Model, mel: MelSpectrogram, n_samples: int, saved=None):
     """Upsampled, per-flow-permuted conditioner grids for n_samples of audio."""
     if model.upsampler is None:
         return None
-    feats = upsample(Tensor(mel.frames.astype(model.dtype)), model.upsampler)
+    feats = upsample(mel.frames.astype(model.dtype), model.upsampler, saved)
     return cond_mod.conditioner_grids_for_length(
-        feats, n_samples, model.config.height, model.stack.permutations
+        feats, n_samples, model.config.height, model.stack.permutations, saved
     )
 
 
@@ -184,6 +196,31 @@ def loglik(model: Model, wav: Waveform) -> LikelihoodReport:
     grid, conds, _ = prepare_grid(model, wav)
     _, report = stack_inverse(grid, conds, model.stack)
     return report
+
+
+def grid_nll(model: Model, grid: np.ndarray, mel: MelSpectrogram | None) -> Tensor:
+    """Per-dimension negative log-likelihood of one squeezed grid (a Tensor).
+
+    While a tape records, this is one node over model.parameters(): the
+    forwards keep what their backwards read, and the node's backward runs
+    stack_backward, then the conditioner's adjoints, freeing it as it goes.
+    """
+    saved = [] if ad.recording() else None
+    conds = conditioner_grids(model, mel, grid.size, saved)
+    _, log_det, base = stack_loglik_terms(grid, conds, model.stack, saved)
+    scale = -1.0 / grid.size
+    params = model.parameters()
+
+    def backward(g):
+        grads: dict[int, np.ndarray] = {}
+        d = g * scale
+        _, d_conds = stack_backward(saved, model.stack, d, d, grads)
+        if model.upsampler is not None:
+            d_feats = cond_mod.conditioner_grids_adjoint(saved, d_conds)
+            cond_mod.upsample_backward(saved, model.upsampler, d_feats, grads)
+        return tuple(grads.get(id(p)) for p in params)
+
+    return ad._record("grid_nll", (log_det + base) * scale, tuple(params), backward)
 
 
 def sample_latent(shape, std: float, rng) -> np.ndarray:

@@ -8,22 +8,23 @@ the head is zero-initialized so a fresh net computes exactly (0, 0) and the
 flow starts as the identity.
 
 Weights use the w = g * v / ||v|| form, norm per output channel, computed
-only by NormedWeight.tensor (one tape node) and differentiated only by
-NormedWeight.adjoint. The zero-initialized output head stays a plain weight:
-the decomposition cannot represent v = 0.
+only by NormedWeight.tensor and differentiated only by NormedWeight.adjoint.
+The zero-initialized output head stays a plain weight: the decomposition
+cannot represent v = 0.
 
 Every forward runs compiled_forward, a numpy forward over a net that
 compile_net has materialized once (weight norm applied, each filter split
 per height tap): kh GEMMs over views of one width-tap buffer plus the
 conditioner's projection, in one accumulation. The samplers call it directly.
-net_forward, which likelihood and training call, wraps it as one tape node:
-while a tape records, that node keeps each layer's gate outputs, the last
-layer's input and the skip sum. Its hand-written backward walks the layers
-top-down and rebuilds each lower layer's input from the additive residual
-stream, x_l = x_(l+1) - (res_proj_l hid_l + res_bias_l), as reversible
-residual nets do (Gomez et al. 2017); ad.tap_conv_adjoint then rebuilds the
-layer's tap buffer from it, as ad.conv2d does. The op-by-op taped net lives
-on in the tests as the oracle.
+net_forward, which likelihood and training call, runs it over the whole
+grid; given a saved list it keeps each layer's gate outputs, the last
+layer's input and the skip sum. net_backward walks the layers top-down,
+dropping each layer's gates once used, and rebuilds each lower layer's
+input from the additive residual stream, x_l = x_(l+1) - (res_proj_l hid_l
++ res_bias_l), as reversible residual nets do (Gomez et al. 2017);
+ad.tap_conv_adjoint then rebuilds the layer's tap buffer from it, as
+ad.conv2d does. Gradients add into one {id(parameter): gradient} dict
+(add_grad). The op-by-op taped net lives on in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -33,27 +34,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import ValidationError
 
 WIDTH_DILATION_CYCLE = [1, 2, 4, 8, 16, 32, 64, 128]
 INIT_SCALE = 0.05
 
 
+def add_grad(grads: dict, p: Parameter, g: np.ndarray) -> None:
+    """Add g into p's entry of a shared {id(parameter): gradient} dict."""
+    old = grads.get(id(p))
+    grads[id(p)] = g if old is None else old + g
+
+
 @dataclass
 class NormedWeight:
-    """Weight-normalized tensor g * v / ||v||, norm per output channel; one tape node."""
+    """Weight-normalized tensor g * v / ||v||, norm per output channel."""
 
     v: Parameter
     g: Parameter | None  # None = plain weight
 
-    def tensor(self) -> Tensor:
-        if self.g is None:
-            return self.v
+    def tensor(self) -> np.ndarray:
         v = self.v.data
+        if self.g is None:
+            return v
         norm = np.sqrt((v * v).sum(axis=tuple(range(1, v.ndim)), keepdims=True))
-        w = v * self.g.data.reshape(norm.shape) / norm
-        return ad._record("weight_norm", w, (self.v, self.g), self.adjoint)
+        return v * self.g.data.reshape(norm.shape) / norm
 
     def adjoint(self, dw: np.ndarray) -> tuple[np.ndarray, ...]:
         """Gradients of parameters() for a gradient dw of the weight (Salimans & Kingma 2016)."""
@@ -66,6 +72,11 @@ class NormedWeight:
         u = v / norm  # w = g * u: dg = sum(dw * u), dv = (g / ||v||) (dw - u * dg)
         dg = (dw * u).sum(axis=axes, keepdims=True)
         return (self.g.data.reshape(norm.shape) / norm) * (dw - u * dg), dg.reshape(-1)
+
+    def add_grad(self, grads: dict, dw: np.ndarray) -> None:
+        """Add the adjoint of a weight gradient dw into grads."""
+        for p, g in zip(self.parameters(), self.adjoint(dw)):
+            add_grad(grads, p, g)
 
     def parameters(self) -> list[Parameter]:
         return [self.v] if self.g is None else [self.v, self.g]
@@ -249,14 +260,14 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
     """Materialize weight norm once and split each filter into per-height-tap GEMM blocks."""
 
     def proj(w: NormedWeight) -> np.ndarray:
-        return w.tensor().data[:, :, 0, 0]
+        return w.tensor()[:, :, 0, 0]
 
     kh, kw = net.kernel_h, net.kernel_w
     layers = []
     for layer in net.layers:
         layers.append(
             CompiledLayer(
-                filts=ad.tap_filters(layer.filter.tensor().data),
+                filts=ad.tap_filters(layer.filter.tensor()),
                 bias=layer.bias.data,
                 cond=None if layer.cond_proj is None else proj(layer.cond_proj),
                 proj_w=np.concatenate([proj(layer.res_proj), proj(layer.skip_proj)]),
@@ -266,7 +277,7 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
             )
         )
     return CompiledNet(
-        input_w=net.input_proj.tensor().data[:, 0, 0, 0],
+        input_w=net.input_proj.tensor()[:, 0, 0, 0],
         input_b=net.input_bias.data,
         layers=layers,
         skip_head_w=proj(net.skip_head),
@@ -283,7 +294,7 @@ def cond_biases(cnet: CompiledNet, cond) -> np.ndarray | None:
     if any(layer.cond is None for layer in cnet.layers):
         raise ValidationError("net has no conditioner projections but cond given")
     # contiguous, the grid and its rows are BLAS operands as is (the squeeze transposes it)
-    return np.ascontiguousarray(cond.data if isinstance(cond, Tensor) else cond)
+    return np.ascontiguousarray(cond)
 
 
 def compiled_forward(
@@ -300,7 +311,7 @@ def compiled_forward(
     slots. cond_rows is cond_biases' (M, n, w) grid for the same rows; each
     layer adds its projection of it to the kh tap GEMMs. If `saved` is a
     list, each layer's (tanh gate, sigmoid gate) is appended to it, then
-    (last layer's input, skip sum): what net_forward's backward reads.
+    (last layer's input, skip sum): what net_backward reads.
     """
     n, w = rows.shape
     cond = None if cond_rows is None else cond_rows.reshape(len(cond_rows), n * w)
@@ -334,96 +345,73 @@ def compiled_forward(
 
 
 # ---------------------------------------------------------------------------
-# the differentiable net: one tape node with a hand-written backward
+# the differentiable net: compiled_forward plus a hand-written backward
 
 
-def net_forward(x_shifted, cond, params: ConvNetParams) -> tuple[Tensor, Tensor]:
-    """Map a row-shifted (h, w) grid to per-entry (mu, log_sigma) Tensors.
+def net_forward(rows, cond, net: ConvNetParams, saved=None) -> tuple[np.ndarray, np.ndarray]:
+    """Map a row-shifted (h, w) grid to per-entry (mu, log_sigma) arrays.
 
     `cond` is an optional (M, h, w) conditioner grid added through each
-    layer's 1x1 projection before the gate. The forward is compiled_forward
-    over the whole grid, with the tape paused. While a tape records, the
-    whole net is then one node whose backward returns the gradients of the
-    grid, the conditioner and every parameter.
+    layer's 1x1 projection before the gate. Given a saved list, appends one
+    entry for net_backward: the compiled net, the rows, the contiguous
+    conditioner and compiled_forward's saved list.
     """
-    xt = x_shifted if isinstance(x_shifted, Tensor) else Tensor(np.asarray(x_shifted))
-    ct = cond if cond is None or isinstance(cond, Tensor) else Tensor(np.asarray(cond))
-    rows = xt.data
-    with ad.paused() as tape:
-        cnet = compile_net(params)
-        saved = None if tape is None else []
-        mu, log_sigma = compiled_forward(cnet, rows, cond_biases(cnet, ct), saved=saved)
-    if tape is None:
-        return Tensor(mu), Tensor(log_sigma)
-    leaves = params.parameters()
-
-    def bk(g):
-        d_rows, d_cond, grads = _net_backward(
-            params, cnet, saved, rows, None if ct is None else ct.data, g
-        )
-        d_params = tuple(grads.get(id(p)) for p in leaves)
-        return ((d_rows,) if ct is None else (d_rows, d_cond)) + d_params
-
-    parents = ((xt,) if ct is None else (xt, ct)) + tuple(leaves)
-    out = ad._record("net_forward", np.stack([mu, log_sigma]), parents, bk)
-    h, w = rows.shape
-    return (
-        ad.reshape(ad.narrow(out, 0, 0, 1), (h, w)),
-        ad.reshape(ad.narrow(out, 0, 1, 1), (h, w)),
-    )
+    cnet = compile_net(net)
+    cond = cond_biases(cnet, cond)
+    layers = None if saved is None else []
+    mu, log_sigma = compiled_forward(cnet, rows, cond, saved=layers)
+    if saved is not None:
+        saved.append((net, cnet, rows, cond, layers))
+    return mu, log_sigma
 
 
-def _net_backward(net: ConvNetParams, cnet: CompiledNet, saved, rows, cond, g):
-    """Backward of net_forward for the (2, h, w) gradient of (mu, log_sigma).
+def net_backward(saved: list, d_mu, d_log_sigma, grads: dict):
+    """Backward of net_forward for the gradients of (mu, log_sigma).
 
-    Walks from the heads through the layers to the input projection. Returns
-    (grid gradient, conditioner gradient or None, {id(parameter): gradient}).
+    Pops net_forward's entry and walks from the heads to the input, dropping
+    each layer's gates once used. Adds parameter gradients into grads;
+    returns those of the rows and the conditioner (None if unconditioned).
     """
+    net, cnet, rows, cond, layers = saved.pop()
     n, w = rows.shape
     m = n * w
-    grads: dict[int, np.ndarray] = {}
-
-    def weight(nw: NormedWeight, dw: np.ndarray) -> None:
-        grads.update(zip(map(id, nw.parameters()), nw.adjoint(dw)))
-
-    d_out = g.reshape(2, m)
-    x, skip = saved[-1]  # the last layer's input; the head is compiled_forward's expression
+    d_out = np.stack([d_mu, d_log_sigma]).reshape(2, m)
+    x, skip = layers.pop()  # the last layer's input; the head is compiled_forward's expression
     head = cnet.skip_head_w @ np.maximum(skip, 0.0) + cnet.skip_head_b[:, None]
-    grads[id(net.out_head)] = (d_out @ np.maximum(head, 0.0).T).reshape(net.out_head.data.shape)
-    grads[id(net.out_head_bias)] = d_out.sum(axis=1)
+    d_out_w = d_out @ np.maximum(head, 0.0).T
+    add_grad(grads, net.out_head, d_out_w.reshape(net.out_head.data.shape))
+    add_grad(grads, net.out_head_bias, d_out.sum(axis=1))
     d_head = (cnet.out_w.T @ d_out) * (head > 0)
-    weight(net.skip_head, d_head @ np.maximum(skip, 0.0).T)
-    grads[id(net.skip_head_bias)] = d_head.sum(axis=1)
+    net.skip_head.add_grad(grads, d_head @ np.maximum(skip, 0.0).T)
+    add_grad(grads, net.skip_head_bias, d_head.sum(axis=1))
     d_skip = (cnet.skip_head_w.T @ d_head) * (skip > 0)
     cond_flat = None if cond is None else cond.reshape(cond.shape[0], m)
     d_cond = None if cond is None else np.zeros_like(cond_flat)
     d_x = np.zeros_like(x)  # gradient of the residual stream, (R, n, w)
-    for li, (layer, cl, (gate_t, gate_s)) in enumerate(
-        zip(reversed(net.layers), reversed(cnet.layers), reversed(saved[:-1]))
-    ):
+    for li, (layer, cl) in enumerate(zip(reversed(net.layers), reversed(cnet.layers))):
         r_ch = cl.proj_w.shape[1]
-        gate_t, gate_s = gate_t.reshape(r_ch, m), gate_s.reshape(r_ch, m)
+        gate_t, gate_s = (a.reshape(r_ch, m) for a in layers.pop())
         hid = gate_t * gate_s
         if li:  # this layer's input: the one above minus this layer's residual output
             x = x - (cl.proj_w[:r_ch] @ hid + cl.proj_b[:r_ch, None]).reshape(x.shape)
         d_res = d_x.reshape(r_ch, m)
-        weight(layer.skip_proj, d_skip @ hid.T)
-        grads[id(layer.skip_bias)] = d_skip.sum(axis=1)
-        weight(layer.res_proj, d_res @ hid.T)
-        grads[id(layer.res_bias)] = d_res.sum(axis=1)
+        layer.skip_proj.add_grad(grads, d_skip @ hid.T)
+        add_grad(grads, layer.skip_bias, d_skip.sum(axis=1))
+        layer.res_proj.add_grad(grads, d_res @ hid.T)
+        add_grad(grads, layer.res_bias, d_res.sum(axis=1))
         d_hid = cl.proj_w[r_ch:].T @ d_skip + cl.proj_w[:r_ch].T @ d_res
         d_pre = np.concatenate(
             [d_hid * gate_s * (1.0 - gate_t * gate_t), d_hid * gate_t * gate_s * (1.0 - gate_s)]
         )
-        grads[id(layer.bias)] = d_pre.sum(axis=1)
+        add_grad(grads, layer.bias, d_pre.sum(axis=1))
         if cond is not None:
-            weight(layer.cond_proj, d_pre @ cond_flat.T)
+            layer.cond_proj.add_grad(grads, d_pre @ cond_flat.T)
             d_cond += cl.cond.T @ d_pre
         d_filt, d_in = ad.tap_conv_adjoint(d_pre, cl.filts, x, cl.row_offsets, cl.col_offsets, w)
-        weight(layer.filter, d_filt)
+        layer.filter.add_grad(grads, d_filt)
         d_x += d_in
     d_x = d_x.reshape(-1, m)
-    weight(net.input_proj, d_x @ rows.reshape(m))
-    grads[id(net.input_bias)] = d_x.sum(axis=1)
+    net.input_proj.add_grad(grads, d_x @ rows.reshape(m))
+    add_grad(grads, net.input_bias, d_x.sum(axis=1))
     d_rows = (cnet.input_w @ d_x).reshape(n, w)
-    return d_rows, None if cond is None else d_cond.reshape(cond.shape), grads
+    return d_rows, None if cond is None else d_cond.reshape(cond.shape)

@@ -43,12 +43,6 @@ class LayerQueue:
         slot = self.slots[(self.pushed - 1 - delay) % len(self.slots)]
         return slot.reshape(-1, slot.shape[-1])
 
-    def read(self, delay: int) -> np.ndarray:
-        """Row `delay` steps back from the next push (its offset-0 tap); zeros past capacity."""
-        if delay >= len(self.slots):
-            return np.zeros_like(self.slots[0, 0, :, 0])
-        return self.slots[(self.pushed - delay) % len(self.slots), self.col_offsets.index(0), :, 0]
-
     def push(self, row: np.ndarray) -> None:
         slot = self.slots[self.pushed % len(self.slots)]
         ad.width_taps(row, self.col_offsets, slot.shape[-1], out=slot)  # same spans: pad stays 0

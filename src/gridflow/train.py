@@ -1,10 +1,11 @@
 """Maximum-likelihood training: Adam, clip sampling, and the step loop.
 
 The loss is the negative per-dimension log-likelihood averaged over the
-batch. Gradients come from the tape, one clip at a time: each clip is
-recorded and backpropagated on its own tape, so a step holds one clip's
-activations (per flow, each layer's gate outputs, the last layer's input
-and the skip sum: 2 * n_layers + 2 arrays of R x clip values). Adam carries
+batch. Gradients come from the tape, one clip at a time: each clip is one
+node (model.grid_nll), recorded and backpropagated on its own tape, so a
+step holds one clip's activations (per flow, each layer's gate outputs, the
+last layer's input and the skip sum: 2 * n_layers + 2 arrays of R x clip
+values), and the backward frees each flow's as it finishes with it. Adam carries
 per-parameter first and second moments with bias correction. Steps whose
 gradients contain any non-finite value are skipped (counted, moments
 untouched); a non-finite loss aborts the run after dumping the offending
@@ -22,9 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericalError, ValidationError
-from .flow import stack_loglik_terms
 from .io import DatasetEntry, save_tensors
-from .model import Model, conditioner_grids, save_checkpoint
+from .model import Model, grid_nll, save_checkpoint
 from .conditioner import MelSpectrogram, mel_spectrogram
 from .signal import Waveform, pad_to_multiple, read_wav, squeeze
 
@@ -145,18 +145,13 @@ def clip_loss_terms(model: Model, utt: Utterance, start: int, clip_length: int):
     hop = model.config.mel.hop
     x = np.asarray(utt.wav.samples[start : start + clip_length], dtype=model.dtype)
     samples, _ = pad_to_multiple(x, h)
-    grid = squeeze(samples, h)
-    conds = None
+    mel_slice = None
     if model.upsampler is not None:
         f0 = start // hop
         f1 = min(-(-(start + len(samples)) // hop), utt.mel.n_frames)  # ceil, clamped
         mel = utt.mel
-        frames = mel.frames[f0:f1]
-        mel_slice = MelSpectrogram(frames, mel.sample_rate, mel.config)
-        conds = conditioner_grids(model, mel_slice, len(samples))
-    _, log_det, base = stack_loglik_terms(grid, conds, model.stack)
-    n_dims = grid.size
-    return (log_det + base) * (-1.0 / n_dims)
+        mel_slice = MelSpectrogram(mel.frames[f0:f1], mel.sample_rate, mel.config)
+    return grid_nll(model, squeeze(samples, h), mel_slice)
 
 
 def batch_gradients(model: Model, batch, clip_length: int):
@@ -178,7 +173,6 @@ def batch_gradients(model: Model, batch, clip_length: int):
         if grads is None:
             grads = clip_grads
         else:
-            # not in place: the tape may hand two parameters one array
             grads = {name: g + clip_grads[name] for name, g in grads.items()}
     scale = 1.0 / len(batch)
     return total * scale, {name: g * scale for name, g in grads.items()}

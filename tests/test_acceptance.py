@@ -15,6 +15,7 @@ from oracle_refs import (
     eval_net_rows_1d,
     fd_jacobian,
     rigged_net,
+    shift_down,
 )
 
 from gridflow import autodiff as ad
@@ -26,7 +27,6 @@ from gridflow.flow import (
     flow_inverse,
     stack_forward,
     stack_inverse,
-    stack_loglik_terms,
 )
 from gridflow.io import ModelConfig, load_preset
 from gridflow.model import (
@@ -34,6 +34,7 @@ from gridflow.model import (
     cast_model,
     conditioner_grids,
     count_parameters,
+    grid_nll,
     load_checkpoint,
     loglik,
     permutation_schedule,
@@ -168,12 +169,12 @@ def test_criterion_03_triangularity():
 
     def tf(flat):
         z, _ = flow_inverse(flat.reshape(h, w), None, net)
-        return z.data.reshape(-1)
+        return z.reshape(-1)
 
     jac = fd_jacobian(tf, x)  # row-major flattening
     upper = float(np.abs(np.triu(jac, k=1)).max())
-    mu, ls = net_forward(ad.shift_down(ad.Tensor(x)), None, net)
-    sigma = np.exp(ls.data).reshape(-1)
+    mu, ls = net_forward(shift_down(x), None, net)
+    sigma = np.exp(ls).reshape(-1)
     diag_err = float(np.abs(np.diag(jac) - sigma).max())
     report(
         3,
@@ -199,8 +200,8 @@ def test_criterion_04_special_case_oracles():
         return mu[t], np.exp(ls[t])
 
     z_ref, logdet_ref = af_reference_inverse(x, mu_sigma)
-    err_a = float(np.abs(z_flow.data[:, 0] - z_ref).max())
-    err_a = max(err_a, abs(float(logdet_flow.data) - logdet_ref))
+    err_a = float(np.abs(z_flow[:, 0] - z_ref).max())
+    err_a = max(err_a, abs(float(logdet_flow) - logdet_ref))
 
     # two-row grid, height kernel 1: the flow is the two-half coupling
     net_b = rigged_net(46, channels=3, layers=2, kernel_h=1, dil_h=[1, 1], dil_w=[1, 2])
@@ -214,9 +215,9 @@ def test_criterion_04_special_case_oracles():
     z_a_ref, z_b_ref, logdet_b_ref = bipartite_reference(grid[0], grid[1], mu_sigma_b)
     err_b = float(
         max(
-            np.abs(zb_flow.data[0] - z_a_ref).max(),
-            np.abs(zb_flow.data[1] - z_b_ref).max(),
-            abs(float(logdet_b_flow.data) - logdet_b_ref),
+            np.abs(zb_flow[0] - z_a_ref).max(),
+            np.abs(zb_flow[1] - z_b_ref).max(),
+            abs(float(logdet_b_flow) - logdet_b_ref),
         )
     )
     report(
@@ -288,9 +289,7 @@ def test_criterion_06_gradient_check():
     mel = MelSpectrogram(rng.standard_normal((2, 8)) * 0.5, SR, cfg.mel)
 
     def loss_fn():
-        conds = conditioner_grids(model, mel, 32)
-        _, log_det, base = stack_loglik_terms(grid, conds, model.stack)
-        return (log_det + base) * (-1.0 / grid.size)
+        return grid_nll(model, grid, mel)
 
     params = model.parameters()
     _, tape = ad.record_forward(loss_fn, params)
@@ -454,11 +453,10 @@ def test_criterion_10_permutation_strategies():
     )
     conds = conditioner_grids(model, mel, 32)
     shared_ok = len(conds) == 3
-    base = conds[0].data
-    acc = base
+    acc = conds[0]
     for k in range(1, 3):
         acc = acc[:, model.stack.permutations[k - 1].row_map, :]
-        shared_ok &= np.array_equal(conds[k].data, acc)
+        shared_ok &= np.array_equal(conds[k], acc)
     report(
         10,
         "permutation strategies",

@@ -292,14 +292,15 @@ class TestExitCodes:
         assert code == 2
         assert "numerical" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("std", ["nan", "inf"])
-    def test_non_finite_latent_is_two(self, tmp_path, capsys, std):
+    # a finite std whose latent overflows: fp32 on the cast, fp64 in the product
+    @pytest.mark.parametrize("precision,std", [("fp32", "1e39"), ("fp64", "1e308")])
+    def test_overflowing_latent_is_two(self, tmp_path, capsys, precision, std):
         save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
         out = tmp_path / "x.wav"
-        with np.errstate(invalid="ignore"):
+        with np.errstate(invalid="ignore", over="ignore"):
             code = run_cli(
                 "synth", "--checkpoint", tmp_path / "ck", "--samples", 64,
-                "--std", std, "--out", out,
+                "--std", std, "--precision", precision, "--out", out,
             )
         assert code == 2
         assert "not finite" in capsys.readouterr().err
@@ -382,12 +383,67 @@ class TestBadArguments:
         out = tmp_path / "x.wav"
         with pytest.raises(SystemExit) as exit_info:
             run_cli("synth", "--checkpoint", tmp_path / "ck", "--samples", samples, "--out", out)
-        assert exit_info.value.code == 2  # argparse's usage error
+        assert exit_info.value.code == 1  # a usage error is a validation problem
         err = capsys.readouterr().err
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1 and "--samples" in errors[0] and "positive integer" in errors[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("bench", "--seconds", "nan"),
+            ("bench", "--seconds", "-1"),
+            ("synth", "--std", "-1"),
+            ("synth", "--std", "nan"),
+            ("synth", "--std", "inf"),
+            ("train", "--lr", "nan"),
+            ("synth", "--precision", "fp16"),
+        ],
+    )
+    def test_bad_option_value_is_one(self, corpus, capsys, command, flag, value):
+        tmp_path, manifest, config = corpus
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        out, run = tmp_path / "x.wav", tmp_path / "run"
+        argv = {
+            "bench": ["bench", "--config", config],
+            "synth": ["synth", "--checkpoint", tmp_path / "ck", "--samples", 64, "--out", out],
+            "train": ["train", "--config", config, "--data", manifest, "--out-dir", run,
+                      "--steps", 1, "--batch", 1, "--clip", 512],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, flag, value)
+        assert exit_info.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and flag in err
+        assert not out.exists() and not run.exists()
+
+    @pytest.mark.parametrize(
+        "kind,content",
+        [
+            ("config", {**TINY_CONFIG, "height": "4"}),
+            ("config", {**TINY_CONFIG, "n_layers": True}),
+            ("manifest", 5),
+            ("manifest", {"path": "u0.wav", "duration": "abc"}),
+            ("manifest", {"path": 7, "duration": 1.0}),
+        ],
+        ids=["height_string", "layers_bool", "line_not_object", "duration_string", "path_number"],
+    )
+    def test_wrong_value_type_is_one(self, corpus, capsys, kind, content):
+        tmp_path, manifest, config = corpus
+        bad = tmp_path / f"bad-{kind}.json"
+        bad.write_text(json.dumps(content) + "\n")
+        if kind == "config":
+            config = bad
+        else:
+            manifest = bad
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "train", "--config", config, "--data", manifest,
+            "--out-dir", tmp_path / "run", "--steps", 1, "--batch", 1, "--clip", 512,
+        )
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestMalformedTensorFiles:

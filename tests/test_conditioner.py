@@ -3,10 +3,7 @@
 import numpy as np
 import pytest
 from oracle_refs import upsample_reference
-from test_autodiff import fd_check
 
-from gridflow import autodiff as ad
-from gridflow.autodiff import Parameter
 from gridflow.conditioner import (
     LEAKY_SLOPE,
     LOG_FLOOR,
@@ -18,6 +15,7 @@ from gridflow.conditioner import (
     mel_spectrogram,
     mel_to_hz,
     upsample,
+    upsample_backward,
 )
 from gridflow.errors import ValidationError
 from gridflow.signal import Waveform, reverse_permutation, squeeze
@@ -125,8 +123,7 @@ class TestUpsampler:
     def test_output_geometry(self):
         up = init_upsampler(256, rng=np.random.default_rng(2), dtype=np.float64)
         frames = np.random.default_rng(3).standard_normal((7, 80))
-        feat = upsample(frames, up)
-        assert feat.data.shape == (80, 7 * 256)
+        assert upsample(frames, up).shape == (80, 7 * 256)
 
     def test_rigged_kernels_repeat_frames(self):
         # delta-band kernels make each layer a pure repeat-by-stride
@@ -138,12 +135,12 @@ class TestUpsampler:
         frames = np.abs(np.random.default_rng(4).standard_normal((3, 5))) + 0.1
         feat = upsample(frames, up)
         expect = np.repeat(frames.T, 256, axis=1)  # (5 bands, 3*256)
-        assert feat.data.shape == (5, 768)
-        assert np.abs(feat.data - expect).max() <= 1e-12
+        assert feat.shape == (5, 768)
+        assert np.abs(feat - expect).max() <= 1e-12
 
     def test_weight_norm_initial_identity(self):
         up = init_upsampler(256, rng=np.random.default_rng(5), dtype=np.float64)
-        w = up.kernel1.tensor().data
+        w = up.kernel1.tensor()
         assert np.abs(w - up.kernel1.v.data).max() <= 1e-12
 
     @pytest.mark.parametrize("hop", [1, 4, 9, 16, 256])
@@ -156,18 +153,31 @@ class TestUpsampler:
         ]
         biases = [float(up.bias1.data), float(up.bias2.data)]
         expect = upsample_reference(frames, kernels, biases, up.stride, LEAKY_SLOPE)
-        feat = upsample(frames, up).data
+        feat = upsample(frames, up)
         assert feat.shape == expect.shape
         assert np.abs(feat - expect).max() <= 1e-12
 
     def test_gradients_match_finite_differences(self):
         # stride 3 is odd, so the s // 2 trim does not align with the phase cycle
         up = _random_upsampler(9, seed=11)
-        frames = Parameter(np.random.default_rng(12).standard_normal((3, 4)), "frames")
-        probe = np.random.default_rng(13).standard_normal(upsample(frames, up).data.shape)
-        fd_check(
-            lambda: ad.sum_(upsample(frames, up) * probe), up.parameters() + [frames]
-        )
+        frames = np.random.default_rng(12).standard_normal((3, 4))
+        probe = np.random.default_rng(13).standard_normal(upsample(frames, up).shape)
+        saved, grads = [], {}
+        upsample(frames, up, saved)
+        d_frames = upsample_backward(saved, up, probe, grads)
+        assert saved == []
+        eps = 1e-6
+        for arr, grad in [(p.data, grads[id(p)]) for p in up.parameters()] + [(frames, d_frames)]:
+            flat, g = arr.reshape(-1), np.reshape(grad, -1)  # flat is a view: writes reach arr
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + eps
+                lp = float((upsample(frames, up) * probe).sum())
+                flat[i] = orig - eps
+                lm = float((upsample(frames, up) * probe).sum())
+                flat[i] = orig
+                fd = (lp - lm) / (2 * eps)
+                assert abs(fd - g[i]) <= 1e-9 + 1e-6 * max(abs(fd), abs(g[i]))
 
 
 def _random_upsampler(hop, seed):
@@ -188,9 +198,9 @@ class TestConditionerGrids:
         feats = rng.standard_normal((3, 24))
         grids = conditioner_grids_for_length(feats, 24, 4, [reverse_permutation(4)])
         assert len(grids) == 1
-        assert grids[0].data.shape == (3, 4, 6)
+        assert grids[0].shape == (3, 4, 6)
         for m in range(3):
-            assert np.array_equal(grids[0].data[m], squeeze(feats[m], 4))
+            assert np.array_equal(grids[0][m], squeeze(feats[m], 4))
 
     def test_cumulative_permutations(self):
         rng = np.random.default_rng(7)
@@ -198,16 +208,16 @@ class TestConditionerGrids:
         perms = [reverse_permutation(8) for _ in range(3)]
         grids = conditioner_grids_for_length(feats, 32, 8, perms)
         assert len(grids) == 3
-        g0 = grids[0].data
-        assert np.array_equal(grids[1].data, g0[:, perms[0].row_map, :])
+        g0 = grids[0]
+        assert np.array_equal(grids[1], g0[:, perms[0].row_map, :])
         assert np.array_equal(
-            grids[2].data, g0[:, perms[0].row_map, :][:, perms[1].row_map, :]
+            grids[2], g0[:, perms[0].row_map, :][:, perms[1].row_map, :]
         )
 
     def test_ragged_tail_trimmed(self):
         feats = np.arange(2 * 21, dtype=np.float64).reshape(2, 21)
         grids = conditioner_grids_for_length(feats, 21, 4, [reverse_permutation(4)])
-        assert grids[0].data.shape == (2, 4, 5)  # 21 -> 20 samples
+        assert grids[0].shape == (2, 4, 5)  # 21 -> 20 samples
 
     def test_too_short_rejected(self):
         # fewer samples than one column, then fewer features than samples
@@ -220,6 +230,6 @@ class TestConditionerGrids:
     def test_cut_to_length(self):
         feats = np.random.default_rng(8).standard_normal((2, 40))
         grids = conditioner_grids_for_length(feats, 16, 4, [reverse_permutation(4)])
-        assert grids[0].data.shape == (2, 4, 4)
+        assert grids[0].shape == (2, 4, 4)
         for m in range(2):
-            assert np.array_equal(grids[0].data[m], squeeze(feats[m, :16], 4))
+            assert np.array_equal(grids[0][m], squeeze(feats[m, :16], 4))

@@ -4,21 +4,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracle_refs import measure_width_reach, taped_net_forward
+import tape as tp
+from oracle_refs import measure_width_reach
+from tape import taped_net_forward
 
-import gridflow.flow
+import gridflow.conditioner
 from gridflow import autodiff as ad
 from gridflow.conditioner import MelConfig, MelSpectrogram
 from gridflow.errors import ValidationError
-from gridflow.flow import stack_loglik_terms
 from gridflow.io import ModelConfig
-from gridflow.model import build_model, conditioner_grids
+from gridflow.model import build_model, grid_nll
 from gridflow.network import (
     compile_net,
     compiled_forward,
     cond_biases,
     default_dilations,
     init_conv_net,
+    net_backward,
     net_forward,
     receptive_field,
     width_dilations,
@@ -86,8 +88,8 @@ class TestCausality:
             # the conv stack is causal-inclusive: output row i sees input
             # rows <= i, so rows strictly above i must be untouched when
             # rows i.. change (the row shift is the caller's job)
-            assert np.abs(mu1.data[:i] - mu0.data[:i]).max(initial=0.0) <= 1e-6
-            assert np.abs(ls1.data[:i] - ls0.data[:i]).max(initial=0.0) <= 1e-6
+            assert np.abs(mu1[:i] - mu0[:i]).max(initial=0.0) <= 1e-6
+            assert np.abs(ls1[:i] - ls0[:i]).max(initial=0.0) <= 1e-6
 
     def test_strict_fp64_equality_above_change(self):
         # unshifted stack: changing row i leaves output rows <= i bit-identical
@@ -103,8 +105,8 @@ class TestCausality:
         bumped = base.copy()
         bumped[6, :] += 1.0
         mu1, _ = net_forward(bumped, None, net)
-        assert np.array_equal(mu1.data[:6], mu0.data[:6])
-        assert np.abs(mu1.data[6:] - mu0.data[6:]).max() > 0
+        assert np.array_equal(mu1[:6], mu0[:6])
+        assert np.abs(mu1[6:] - mu0[6:]).max() > 0
 
 
 class TestIdentityStart:
@@ -112,23 +114,23 @@ class TestIdentityStart:
         net = init_conv_net(8, 8, rng=np.random.default_rng(6))
         x = np.random.default_rng(7).standard_normal((16, 10)).astype(np.float32)
         mu, ls = net_forward(x, None, net)
-        assert np.all(mu.data == 0.0)
-        assert np.all(ls.data == 0.0)
+        assert np.all(mu == 0.0)
+        assert np.all(ls == 0.0)
 
     def test_fresh_net_with_conditioner_still_zero(self):
         net = init_conv_net(4, 2, cond_channels=5, rng=np.random.default_rng(8))
         x = np.random.default_rng(9).standard_normal((8, 6)).astype(np.float32)
         cond = np.random.default_rng(10).standard_normal((5, 8, 6)).astype(np.float32)
         mu, ls = net_forward(x, cond, net)
-        assert np.all(mu.data == 0.0)
-        assert np.all(ls.data == 0.0)
+        assert np.all(mu == 0.0)
+        assert np.all(ls == 0.0)
 
 
 class TestWeightNorm:
     def test_normed_tensor_matches_direct_formula(self):
         net = init_conv_net(4, 2, rng=np.random.default_rng(11), dtype=np.float64)
         layer = net.layers[0]
-        w = layer.filter.tensor().data
+        w = layer.filter.tensor()
         v = layer.filter.v.data
         g = layer.filter.g.data
         norm = np.sqrt((v**2).sum(axis=(1, 2, 3), keepdims=True))
@@ -139,15 +141,15 @@ class TestWeightNorm:
         # g starts at ||v||, so the materialized weight equals v
         net = init_conv_net(4, 2, rng=np.random.default_rng(12), dtype=np.float64)
         layer = net.layers[1]
-        assert np.abs(layer.filter.tensor().data - layer.filter.v.data).max() <= 1e-6
+        assert np.abs(layer.filter.tensor() - layer.filter.v.data).max() <= 1e-6
 
     def test_scale_roundtrip_through_g(self):
         # doubling g doubles the materialized weight exactly
         net = init_conv_net(2, 1, rng=np.random.default_rng(13), dtype=np.float64)
         layer = net.layers[0]
-        w1 = layer.filter.tensor().data.copy()
+        w1 = layer.filter.tensor().copy()
         layer.filter.g.data = layer.filter.g.data * 2.0
-        w2 = layer.filter.tensor().data
+        w2 = layer.filter.tensor()
         assert np.abs(w2 - 2.0 * w1).max() <= 1e-12
 
     def test_out_head_is_plain_weight(self):
@@ -157,16 +159,16 @@ class TestWeightNorm:
         assert not any("out_head.g" in n for n in names)
 
     def test_one_tape_node_and_its_gradient(self):
-        # the normed weight is one weight_norm node; its backward is the
-        # adjoint net_forward's backward also calls
+        # tensor() records nothing; the oracle's weight_norm node runs the
+        # adjoint net_backward also calls, checked here by central differences
         net = init_conv_net(3, 1, rng=np.random.default_rng(29), dtype=np.float64)
         nw = net.layers[0].filter
         nw.g.data = nw.g.data * 1.7
         probe = np.random.default_rng(30).standard_normal(nw.v.data.shape)
         with ad.Tape() as tape:
-            nw.tensor()
-        assert [node.op for node in tape.nodes] == ["weight_norm"]
-        loss, tape = ad.record_forward(lambda: ad.sum_(nw.tensor() * probe), [nw.v, nw.g])
+            assert isinstance(nw.tensor(), np.ndarray)
+        assert tape.nodes == []
+        loss, tape = ad.record_forward(lambda: tp.sum_(tp.weight_norm(nw) * probe), [nw.v, nw.g])
         assert [node.op for node in tape.nodes] == ["weight_norm", "mul", "sum"]
         grads = ad.backward(tape)
         eps = 1e-6
@@ -175,9 +177,9 @@ class TestWeightNorm:
             for i in range(0, flat.size, 7):
                 orig = flat[i]
                 flat[i] = orig + eps
-                lp = float((nw.tensor().data * probe).sum())
+                lp = float((nw.tensor() * probe).sum())
                 flat[i] = orig - eps
-                lm = float((nw.tensor().data * probe).sum())
+                lm = float((nw.tensor() * probe).sum())
                 flat[i] = orig
                 fd = (lp - lm) / (2 * eps)
                 an = grads[p.name].reshape(-1)[i]
@@ -186,9 +188,7 @@ class TestWeightNorm:
     def test_weight_norm_off(self):
         net = init_conv_net(4, 2, rng=np.random.default_rng(15), weight_norm=False)
         assert net.layers[0].filter.g is None
-        assert np.array_equal(
-            net.layers[0].filter.tensor().data, net.layers[0].filter.v.data
-        )
+        assert np.array_equal(net.layers[0].filter.tensor(), net.layers[0].filter.v.data)
 
 
 # (height, width, kernel_h, kernel_w, dilations_h, dilations_w, cond channels)
@@ -236,6 +236,12 @@ def _directions_off_zero(params):
 
 def _taped_loss_and_grads(loss_fn, params):
     loss, tape = ad.record_forward(loss_fn, params)
+    return float(loss.data), ad.backward(tape)
+
+
+def _grid_nll_and_grads(model, grid, mel):
+    loss, tape = ad.record_forward(lambda: grid_nll(model, grid, mel), model.parameters())
+    assert len(tape.nodes) == 1
     return float(loss.data), ad.backward(tape)
 
 
@@ -291,46 +297,49 @@ class TestSavedForBackward:
 
 
 class TestNetBackward:
-    """net_forward's hand-written backward against the op-by-op taped net."""
+    """net_backward and grid_nll's backward against the op-by-op taped oracle."""
 
     @NET_VARIANTS
     def test_gradients_match_taped_reference(self, h, w, kh, kw, dil_h, dil_w, cond_ch):
         rng = np.random.default_rng(25)
         net = _random_net(rng, kh, kw, dil_h, dil_w, cond_ch)
         _directions_off_zero(net.parameters())
-        # the grid and conditioner as leaves, so backward reports their gradients
-        x = ad.Parameter(rng.standard_normal((h, w)), "grid")
-        cond = None
-        if cond_ch is not None:
-            cond = ad.Parameter(rng.standard_normal((cond_ch, h, w)), "cond")
+        x = rng.standard_normal((h, w))
+        cond = None if cond_ch is None else rng.standard_normal((cond_ch, h, w))
         a, b = rng.standard_normal((2, h, w))
-        params = net.parameters() + [x] + ([] if cond is None else [cond])
-        results = []
-        for forward in (net_forward, taped_net_forward):
+        saved, grads = [], {}
+        mu, ls = net_forward(x, cond, net, saved)
+        d_x, d_cond = net_backward(saved, a, b, grads)
+        assert saved == []
+        # the oracle, with the grid and conditioner as leaves so backward reports their gradients
+        xt = ad.Parameter(x, "grid")
+        ct = None if cond is None else ad.Parameter(cond, "cond")
 
-            def loss_fn():
-                mu, ls = forward(x, cond, net)
-                return ad.sum_(mu * a) + ad.sum_(ls * b)
+        def loss_fn():
+            mu_t, ls_t = taped_net_forward(xt, ct, net)
+            return tp.sum_(mu_t * a) + tp.sum_(ls_t * b)
 
-            results.append(_taped_loss_and_grads(loss_fn, params))
-        (loss, grads), (loss_ref, grads_ref) = results
-        assert abs(loss - loss_ref) <= 1e-12
-        assert grads.keys() == grads_ref.keys()
-        for name, g_ref in grads_ref.items():
-            assert np.abs(grads[name] - g_ref).max() <= 1e-12, name
-        assert np.abs(grads["grid"]).max() > 0.1
+        params = net.parameters() + [xt] + ([] if ct is None else [ct])
+        loss_ref, grads_ref = _taped_loss_and_grads(loss_fn, params)
+        assert abs(float((mu * a).sum() + (ls * b).sum()) - loss_ref) <= 1e-12
+        for p in net.parameters():
+            assert np.abs(grads[id(p)] - grads_ref[p.name]).max() <= 1e-12, p.name
+        assert np.abs(d_x - grads_ref["grid"]).max() <= 1e-12
+        assert np.abs(d_x).max() > 0.1
         if cond is not None:
-            assert np.abs(grads["cond"]).max() > 0.1
+            assert np.abs(d_cond - grads_ref["cond"]).max() <= 1e-12
+            assert np.abs(d_cond).max() > 0.1
 
     def test_conditioned_stack_through_upsampler(self, monkeypatch):
-        # three conditioned flows, the upsampler on the tape, reversed rows
+        # three conditioned flows through the upsampler, two kinds of row
+        # permutation: one grid_nll node against the whole-stack oracle
         cfg = ModelConfig(
             height=4,
             n_flows=3,
             n_layers=2,
             residual_channels=4,
             conditioned=True,
-            permutation_strategy="reverse",
+            permutation_strategy="bipartite_mix",
             mel=MelConfig(n_mels=6, n_fft=64, hop=16, win=64),
         )
         model = build_model(cfg, seed=0, dtype=np.float64)
@@ -343,30 +352,53 @@ class TestNetBackward:
         grid = rng.standard_normal((4, 12))
         mel = MelSpectrogram(rng.standard_normal((3, 6)) * 0.5, 22050, cfg.mel)
         params = model.parameters()
+        d_frames = []  # what grid_nll's backward gets for the mel frames
+        real = gridflow.conditioner.upsample_backward
+        monkeypatch.setattr(
+            gridflow.conditioner, "upsample_backward", lambda *a: d_frames.append(real(*a))
+        )
+        loss, grads = _grid_nll_and_grads(model, grid, mel)
+        frames = ad.Parameter(mel.frames, "frames")
+        loss_ref, grads_ref = _taped_loss_and_grads(
+            lambda: tp.grid_nll(model, grid, frames), params + [frames]
+        )
+        assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
+        # the loss is per dimension: each bound is on the summed log-likelihood's scale
+        for p in params:
+            assert np.abs(grads[p.name] - grads_ref[p.name]).max() * grid.size <= 1e-12, p.name
+        assert np.abs(d_frames[0] - grads_ref["frames"]).max() * grid.size <= 1e-12
+        assert np.abs(grads["upsampler.kernel1.v"]).max() * grid.size > 1e-3
+        assert np.abs(d_frames[0]).max() * grid.size > 1e-3
 
-        def loss_fn():
-            conds = conditioner_grids(model, mel, grid.size)
-            _, log_det, base = stack_loglik_terms(grid, conds, model.stack)
-            return log_det + base
-
-        loss, grads = _taped_loss_and_grads(loss_fn, params)
-        monkeypatch.setattr(gridflow.flow, "net_forward", taped_net_forward)
-        loss_ref, grads_ref = _taped_loss_and_grads(loss_fn, params)
+    def test_unconditioned_tall_stack(self):
+        # h = n: every sample is its own row, the fully autoregressive case
+        cfg = ModelConfig(height=16, n_flows=2, n_layers=3, residual_channels=3, conditioned=False)
+        model = build_model(cfg, seed=1, dtype=np.float64)
+        rng = np.random.default_rng(33)
+        for p in model.parameters():
+            p.data = rng.standard_normal(p.data.shape) * 0.3
+            if p.name.endswith(".g"):
+                p.data = np.abs(p.data) + 0.5
+        _directions_off_zero(model.parameters())
+        grid = rng.standard_normal((16, 1))
+        loss, grads = _grid_nll_and_grads(model, grid, None)
+        loss_ref, grads_ref = _taped_loss_and_grads(
+            lambda: tp.grid_nll(model, grid), model.parameters()
+        )
         assert abs(loss - loss_ref) <= 1e-12 * abs(loss_ref)
         for name, g_ref in grads_ref.items():
-            assert np.abs(grads[name] - g_ref).max() <= 1e-12, name
-        assert np.abs(grads["upsampler.kernel1.v"]).max() > 1e-3
+            assert np.abs(grads[name] - g_ref).max() * grid.size <= 1e-12, name
+        assert np.abs(grads["flow0.layer0.filter.v"]).max() * grid.size > 1e-3
 
     def test_untaped_call_records_nothing(self):
+        # net_forward returns arrays and never touches the tape, recording or not
         net = _random_net(np.random.default_rng(27), 3, 3, [1], [1], None)
         x = np.random.default_rng(28).standard_normal((4, 5))
         mu, ls = net_forward(x, None, net)
-        assert mu.node_id is None and ls.node_id is None
-        tape = ad.Tape()
-        with tape:
+        assert isinstance(mu, np.ndarray) and isinstance(ls, np.ndarray)
+        with ad.Tape() as tape:
             net_forward(x, None, net)
-        assert [node.op for node in tape.nodes].count("net_forward") == 1
-        assert "conv2d" not in [node.op for node in tape.nodes]
+        assert tape.nodes == []
 
 
 class TestShapes:
@@ -384,8 +416,8 @@ class TestShapes:
     def test_output_shapes(self):
         net = init_conv_net(4, 3, dilations_h=[1, 2, 4], rng=np.random.default_rng(17))
         mu, ls = net_forward(np.zeros((32, 7), dtype=np.float32), None, net)
-        assert mu.data.shape == (32, 7)
-        assert ls.data.shape == (32, 7)
+        assert mu.shape == (32, 7)
+        assert ls.shape == (32, 7)
 
     def test_collect_hidden_layer_inputs(self):
         # what the compiled forward saves for the backward gives back each
@@ -405,7 +437,7 @@ class TestShapes:
         assert np.abs(layer_in - hidden[-1]).max() <= 1e-12
         for li in range(2, -1, -1):
             gate_t, gate_s = saved[li]
-            res_w = net.layers[li].res_proj.tensor().data[:, :, 0, 0]
+            res_w = net.layers[li].res_proj.tensor()[:, :, 0, 0]
             res = np.einsum("oc,cij->oij", res_w, gate_t * gate_s)
             layer_in = layer_in - res - net.layers[li].res_bias.data[:, None, None]
             assert np.abs(layer_in - hidden[li]).max() <= 1e-12
@@ -420,25 +452,24 @@ class TestShapes:
         net = init_conv_net(2, 1, rng=np.random.default_rng(21), dtype=np.float64)
         net.out_head.data = np.random.default_rng(22).standard_normal((2, 2, 1, 1))
         x = np.random.default_rng(23).standard_normal((4, 4))
-        params = net.parameters()
 
         def loss_fn():
             mu, ls = net_forward(x, None, net)
-            return ad.sum_(mu * mu) + ad.sum_(ls * ls)
+            return float((mu * mu).sum() + (ls * ls).sum())
 
-        loss, tape = ad.record_forward(loss_fn, params)
-        grads = ad.backward(tape)
+        saved, grads = [], {}
+        mu, ls = net_forward(x, None, net, saved)
+        net_backward(saved, 2.0 * mu, 2.0 * ls, grads)
         layer = net.layers[0]
         eps = 1e-6
-        for pname in (layer.filter.g.name, layer.filter.v.name):
-            p = next(pp for pp in params if pp.name == pname)
+        for p in (layer.filter.g, layer.filter.v):
             flat = p.data.reshape(-1)
             orig = flat[0]
             flat[0] = orig + eps
-            lp = float(loss_fn().data)
+            lp = loss_fn()
             flat[0] = orig - eps
-            lm = float(loss_fn().data)
+            lm = loss_fn()
             flat[0] = orig
             fd = (lp - lm) / (2 * eps)
-            an = grads[pname].reshape(-1)[0]
-            assert abs(fd - an) <= 1e-7 + 1e-5 * max(abs(fd), abs(an)), pname
+            an = grads[id(p)].reshape(-1)[0]
+            assert abs(fd - an) <= 1e-7 + 1e-5 * max(abs(fd), abs(an)), p.name

@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from oracle_refs import taped_net_forward
+from oracle_refs import shift_down
+from tape import taped_net_forward
 
-from gridflow import autodiff as ad
 from gridflow.conditioner import MelConfig, mel_spectrogram
 from gridflow.errors import ValidationError
 from gridflow.flow import FlowStack, SynthStats, stack_forward
@@ -78,35 +78,42 @@ def rigged_stack(h, n_flows, seed, perm="reverse", dtype=np.float64, dil_h=None)
 COLS = (-1, 0, 1)  # the width-tap offsets of a kw = 3 layer at width dilation 1
 
 
+def read(q: LayerQueue, delay: int) -> np.ndarray:
+    """Row `delay` pushes back from q's next push (its offset-0 tap); zeros past capacity."""
+    if delay >= len(q.slots):
+        return np.zeros_like(q.slots[0, 0, :, 0])
+    return q.slots[(q.pushed - delay) % len(q.slots), q.col_offsets.index(0), :, 0]
+
+
 class TestLayerQueue:
     def test_ring_wraparound(self):
         q = LayerQueue(2, 3, 4, np.float64, COLS)
         rows = [np.full((3, 1, 4), float(i)) for i in range(5)]
         for r in rows:
             q.push(r)
-        assert np.array_equal(q.read(1), rows[4][:, 0])
-        assert np.array_equal(q.read(2), rows[3][:, 0])
-        assert np.array_equal(q.read(3), np.zeros((3, 4)))  # evicted: beyond capacity
+        assert np.array_equal(read(q, 1), rows[4][:, 0])
+        assert np.array_equal(read(q, 2), rows[3][:, 0])
+        assert np.array_equal(read(q, 3), np.zeros((3, 4)))  # evicted: beyond capacity
 
     def test_reads_past_start_are_zero(self):
         q = LayerQueue(4, 2, 3, np.float64, COLS)
-        assert np.array_equal(q.read(1), np.zeros((2, 3)))
+        assert np.array_equal(read(q, 1), np.zeros((2, 3)))
         q.push(np.ones((2, 1, 3)))
-        assert np.array_equal(q.read(2), np.zeros((2, 3)))  # before first row
+        assert np.array_equal(read(q, 2), np.zeros((2, 3)))  # before first row
         assert np.array_equal(q.taps(1), np.zeros((6, 3)))
-        assert np.array_equal(q.read(1), np.ones((2, 3)))
+        assert np.array_equal(read(q, 1), np.ones((2, 3)))
 
     def test_reads_beyond_capacity_are_zero(self):
         q = LayerQueue(2, 1, 1, np.float64, COLS)
         for i in range(4):
             q.push(np.full((1, 1, 1), float(i + 1)))
-        assert q.read(3)[0, 0] == 0.0
+        assert read(q, 3)[0, 0] == 0.0
 
     def test_zero_capacity_is_inert(self):
         q = LayerQueue(0, 2, 2, np.float64, COLS)
         q.push(np.ones((2, 1, 2)))
         assert len(q.slots) == 1  # room for the current row's taps only
-        assert np.array_equal(q.read(1), np.zeros((2, 2)))
+        assert np.array_equal(read(q, 1), np.zeros((2, 2)))
 
     def test_slots_hold_width_taps(self):
         q = LayerQueue(1, 2, 4, np.float64, COLS)
@@ -136,12 +143,12 @@ class TestQueueContents:
             mu_i, ls_i = _row_step(cnet, qs, prev, None, None)
             out[i] = (z[i] - mu_i) / np.exp(ls_i)
             prev = out[i]
-        shifted = ad.shift_down(ad.Tensor(out))
+        shifted = shift_down(out)
         _, _, hidden = taped_net_forward(shifted, None, net, collect_hidden=True)
         for ell, layer in enumerate(net.layers):
             cap = (net.kernel_h - 1) * layer.dilation_h
             for delay in range(1, min(cap, h) + 1):
-                row = qs.queues[ell].read(delay)
+                row = read(qs.queues[ell], delay)
                 assert np.abs(row - hidden[ell][:, h - delay, :]).max() <= 1e-12
 
     def test_dilated_schedule_with_width_dilations(self):
@@ -159,11 +166,11 @@ class TestQueueContents:
             mu_i, ls_i = _row_step(cnet, qs, prev, None, None)
             out[i] = (z[i] - mu_i) / np.exp(ls_i)
             prev = out[i]
-        shifted = ad.shift_down(ad.Tensor(out))
+        shifted = shift_down(out)
         _, _, hidden = taped_net_forward(shifted, None, net, collect_hidden=True)
         for ell, layer in enumerate(net.layers):
             for delay in range(1, (net.kernel_h - 1) * layer.dilation_h + 1):
-                row = qs.queues[ell].read(delay)
+                row = read(qs.queues[ell], delay)
                 assert np.abs(row - hidden[ell][:, h - delay, :]).max() <= 1e-12
 
 

@@ -229,7 +229,7 @@ class TestTrainLoop:
             batch_size=1, clip_length=512, max_steps=2, out_dir=str(tmp_path)
         )
         with np.errstate(invalid="ignore"):
-            with pytest.raises(NumericalError):
+            with pytest.raises(NumericalError, match=r"in flow 0 at grid row \d+, column \d+"):
                 train_loop(model, ds, cfg)
         assert (tmp_path / "bad-batch-000001.manifest.json").exists()
 
@@ -260,10 +260,31 @@ class TestBatchGradients:
             assert np.abs(grads[name] - g_ref).max() <= 1e-12, name
 
 
+class TestOneNodePerClip:
+    def test_tape_holds_one_node_per_clip(self):
+        # each clip is one grid_nll node; the generic tape ops live in the tests
+        model = tiny_model(conditioned=True, n_flows=2, dtype=np.float64)
+        utt = sine_utterance(2048)
+
+        def batch_loss():
+            first, second = (clip_loss_terms(model, utt, start, 256) for start in (0, 256))
+            return (first + second) * 0.5
+
+        _, tape = ad.record_forward(batch_loss, model.parameters())
+        assert [node.op for node in tape.nodes] == ["grid_nll", "grid_nll", "add", "mul"]
+        assert all(node.out.data.ndim == 0 for node in tape.nodes)
+        deleted = ["sub", "exp", "sigmoid", "leaky_relu", "sum_", "reshape", "transpose",
+                   "narrow", "shift_down", "permute_rows", "paused"]
+        assert [name for name in deleted if hasattr(ad, name)] == []
+        assert not hasattr(ad.Tape(), "check_values")
+
+
 class TestStepMemory:
-    # tracemalloc peak of this step, measured: 165.0 MiB (196.0 MiB when each
-    # net kept every layer's input and its head; 1,858 MiB with the op-by-op
-    # tape holding both clips); per clip the nets keep
+    # tracemalloc peak of this step, measured: 138.8 MiB with one tape node
+    # per clip whose backward frees each flow's activations as it goes
+    # (165.0 MiB with one node per net; 196.0 MiB when each net kept every
+    # layer's input and its head; 1,858 MiB with the op-by-op tape holding
+    # both clips); per clip the nets keep
     # 8 flows x (2 x 8 + 2) x 64 x 2,048 fp32 values (72 MiB)
     PEAK_BOUND_MIB = 256
 
@@ -286,8 +307,10 @@ class TestClipMemory:
     # tracemalloc peak of one clip's step on wf-h16-c64 cut to 4 flows
     # (fp32, 2,048 samples), measured: 92.8 MiB when each net kept every
     # layer's input, its gates, the skip sum and the head; 77.8 MiB when it
-    # keeps the gates, the last layer's input and the skip sum
-    PEAK_BOUND_MIB = 85
+    # keeps the gates, the last layer's input and the skip sum; 61.5 MiB
+    # when the clip's one tape node frees each flow's saved arrays as its
+    # backward uses them
+    PEAK_BOUND_MIB = 70
 
     def test_reduced_h16_clip_peak_bounded(self):
         model = build_model(dataclasses.replace(load_preset("wf-h16-c64"), n_flows=4), seed=0)
