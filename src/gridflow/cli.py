@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="maximum-likelihood training")
     common(p)
-    p.add_argument("--config", required=True, help="preset name or JSON config path")
+    p.add_argument("--config", help="preset name or JSON config path (optional with --resume)")
     p.add_argument("--data", required=True, help="dataset manifest (NDJSON)")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--steps", type=int, default=1000)
@@ -154,8 +154,12 @@ def cmd_train(args) -> int:
     dtype = DTYPES[args.precision]
     if args.resume:
         model = load_checkpoint(args.resume, dtype=dtype)
-    else:
+        if args.config and resolve_config(args.config) != model.config:
+            raise ValidationError(f"--config {args.config} differs from the config in --resume")
+    elif args.config:
         model = build_model(resolve_config(args.config), seed=args.seed, dtype=dtype)
+    else:
+        raise ValidationError("train needs --config or --resume")
     entries = read_dataset_manifest(args.data)
     dataset = Dataset.from_entries(
         entries, model.config.mel, min_length=max(args.clip, model.config.mel.win)
@@ -272,7 +276,7 @@ def cmd_bench(args) -> int:
     h = model.config.height
     n = int(args.seconds * model.config.sample_rate)
     padded, _ = pad_to_multiple(np.zeros(max(n, h), dtype=model.dtype), h)
-    conds = None
+    cond = None
     if model.upsampler is not None:
         # synthetic conditioning: mel of a quiet noise signal of matching length
         rng = np.random.default_rng(args.seed)
@@ -281,10 +285,10 @@ def cmd_bench(args) -> int:
             rng.standard_normal(probe_len) * 0.01, model.config.sample_rate
         )
         mel = mel_spectrogram(probe, model.config.mel)
-        conds = conditioner_grids(model, mel, len(padded))
+        cond = conditioner_grids(model, mel, len(padded))
     rng = np.random.default_rng(args.seed + 1)
     z = sample_latent((h, len(padded) // h), 1.0, rng).astype(model.dtype)
-    report = synth_mod.bench(model.stack, z, conds)
+    report = synth_mod.bench(model.stack, z, cond)
     d = report.as_dict()
     d["audio_seconds"] = report.n_samples / model.config.sample_rate
     d["real_time_factor"] = d["audio_seconds"] / report.queued_seconds

@@ -12,8 +12,8 @@ mel axis. Each one runs as a plain conv2d with one output channel per
 phase of the stride, whose outputs interleave in time (the sub-pixel view).
 The result is cut to h*w samples and squeezed into an (n_mels, h, w) grid
 column-major, exactly like the waveform, so grid entry (m, i, j) conditions
-waveform grid entry (i, j). Per-flow copies are then row-permuted
-cumulatively to track the latent's row order.
+waveform grid entry (i, j). That one grid serves every flow: the flow
+stack knows which grid rows each flow's input holds, and gathers them.
 
 Both steps are plain numpy with hand-written backwards: upsample_backward
 and conditioner_grids_adjoint, which training runs after the flows'.
@@ -21,7 +21,7 @@ and conditioner_grids_adjoint, which training runs after the flows'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .autodiff import Parameter
 from .errors import ValidationError
 from .network import NormedWeight, _normed, add_grad
-from .signal import Permutation, Waveform
+from .signal import Waveform
 
 LEAKY_SLOPE = 0.4
 LOG_FLOOR = 1e-5
@@ -43,10 +43,12 @@ class MelConfig:
     win: int = 1024
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int or value < 1:  # bool, "4" and 4.0 are not ints
+                raise ValidationError(f"mel {f.name} must be a positive integer, got {value!r}")
         if self.win > self.n_fft:
             raise ValidationError("window longer than FFT size")
-        if self.hop < 1 or self.win < 1:
-            raise ValidationError("hop and window must be positive")
 
 
 @dataclass
@@ -186,16 +188,12 @@ def upsample_backward(saved: list, up: UpsamplerParams, d_feat, grads: dict) -> 
     return d_feat.T
 
 
-def conditioner_grids_for_length(
-    features, n_samples: int, h: int, permutations: list[Permutation], saved=None
-) -> list[np.ndarray]:
-    """Cut features to n_samples, less any ragged tail, squeeze, and track row orders.
+def conditioner_grids_for_length(features, n_samples: int, h: int, saved=None) -> np.ndarray:
+    """Cut features to n_samples, less any ragged tail, and squeeze them.
 
-    Returns one (M, h, w) grid per flow, w = n_samples // h: grid k is the
-    squeezed features with permutations 0..k-1 applied cumulatively,
-    matching the row order the k-th flow's input arrives in. If `saved` is
-    a list, the features' shape and the permutations are appended for
-    conditioner_grids_adjoint.
+    Returns one C-contiguous (M, h, w) grid, w = n_samples // h, in the
+    waveform's row order. If `saved` is a list, the features' shape is
+    appended for conditioner_grids_adjoint.
     """
     n_mels, t = features.shape
     if t < n_samples:
@@ -203,27 +201,16 @@ def conditioner_grids_for_length(
     w = n_samples // h
     if w == 0:
         raise ValidationError(f"{n_samples} samples do not fill a column; need at least {h}")
-    # column-major squeeze on the time axis, matching the waveform layout
-    grid = features[:, : w * h].reshape(n_mels, w, h).transpose(0, 2, 1)
-    grids = [grid]
-    for perm in permutations[:-1]:
-        grid = np.empty_like(grid)
-        grid[:, perm.row_map] = grids[-1]
-        grids.append(grid)
     if saved is not None:
-        saved.append((features.shape, permutations))
-    return grids
+        saved.append(features.shape)
+    # column-major squeeze on the time axis, matching the waveform layout
+    return np.ascontiguousarray(features[:, : w * h].reshape(n_mels, w, h).transpose(0, 2, 1))
 
 
-def conditioner_grids_adjoint(saved: list, d_grids) -> np.ndarray:
-    """Per-flow grid gradients -> feature gradient: each folded back through
-    the cumulative permutations (gather, then add), then the squeeze's and
-    the trim's adjoints."""
-    (n_mels, t), permutations = saved.pop()
-    d = d_grids[-1]
-    for perm, d_grid in zip(permutations[-2::-1], d_grids[-2::-1]):
-        d = d[:, perm.row_map] + d_grid
-    _, h, w = d.shape
-    d_feat = np.zeros((n_mels, t), dtype=d.dtype)
-    d_feat[:, : w * h] = d.transpose(0, 2, 1).reshape(n_mels, w * h)
+def conditioner_grids_adjoint(saved: list, d_grid) -> np.ndarray:
+    """Grid gradient -> feature gradient: the squeeze's and the trim's adjoints."""
+    n_mels, t = saved.pop()
+    _, h, w = d_grid.shape
+    d_feat = np.zeros((n_mels, t), dtype=d_grid.dtype)
+    d_feat[:, : w * h] = d_grid.transpose(0, 2, 1).reshape(n_mels, w * h)
     return d_feat

@@ -7,7 +7,8 @@ The density direction maps a grid X to latents Z in one pass:
 with (mu, log sigma) computed by the conv net from the rows strictly above i
 (the net sees the row-shifted grid). The Jacobian is triangular with
 diagonal sigma, so log|det| is just sum(log sigma). Stacks compose several
-flows, permuting grid rows (and the conditioner) between flows. This
+flows, permuting grid rows between flows; FlowStack.row_orders composes the
+permutations, and each flow gathers its rows of the one conditioner grid. This
 direction, and so likelihood and training, runs net_forward: the compiled
 kernel over the whole grid. Given a saved list, each step keeps what its
 backward reads, and stack_backward runs the closed-form adjoints in
@@ -16,9 +17,10 @@ shift.
 
 The sampling direction inverts row by row: row i of X needs only rows < i,
 so h sequential net evaluations reconstruct the grid exactly. Both sampling
-engines run the tape-free compiled_forward and divide by floored_sigma: the
-naive reference here re-runs it over the whole grid for every row, and the
-queued engine (synth.py) runs it on one row through per-layer ring buffers.
+engines share one walk back through the flows (sample_walk), run the
+tape-free compiled_forward and divide by floored_sigma: the naive reference
+here re-runs it over the whole grid for every row, and the queued engine
+(synth.py) runs it on one row through per-layer ring buffers.
 
 Also here: the loop-built, fully autoregressive 1-D reference transform
 that `verify` compares the degenerate h = n grid against.
@@ -31,14 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .network import (
-    ConvNetParams,
-    compile_net,
-    compiled_forward,
-    cond_biases,
-    net_backward,
-    net_forward,
-)
+from .network import ConvNetParams, compile_net, compiled_forward, net_backward, net_forward
 from .signal import Permutation
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -65,6 +60,13 @@ class FlowStack:
         for net in self.nets:
             out += net.parameters()
         return out
+
+    def row_orders(self) -> list[np.ndarray]:
+        """Per flow k, the grid rows its input holds: its row i is grid row orders[k][i]."""
+        orders = [np.arange(self.permutations[0].height)]
+        for perm in self.permutations[:-1]:  # undo the scatter out[row_map[i]] = in[i]
+            orders.append(orders[-1][np.argsort(perm.row_map)])
+        return orders
 
 
 @dataclass
@@ -144,11 +146,10 @@ def flow_forward(
     z = np.asarray(z)
     h, w = z.shape
     cnet = compile_net(net)
-    cond_rows = cond_biases(cnet, cond)
     x = np.zeros_like(z)
     shifted = np.zeros_like(z)
     for i in range(h):
-        mu, log_sigma = compiled_forward(cnet, shifted, cond_rows)
+        mu, log_sigma = compiled_forward(cnet, shifted, cond)
         x[i] = (z[i] - mu[i]) / floored_sigma(log_sigma[i], stats)
         if i + 1 < h:
             shifted[i + 1] = x[i]
@@ -158,17 +159,25 @@ def flow_forward(
     return x
 
 
-def stack_loglik_terms(x, conds, stack: FlowStack, saved=None):
+def flow_conds(cond, stack: FlowStack, shape):
+    """Flow k -> a C-contiguous gather of its rows of the (M, h, w) conditioner grid, or None."""
+    if cond is not None and cond.shape[1:] != tuple(shape):
+        raise ValidationError(f"conditioner grid {cond.shape} does not cover the {shape} grid")
+    orders = stack.row_orders()
+    return lambda k: None if cond is None else np.take(cond, orders[k], axis=1)
+
+
+def stack_loglik_terms(x, cond, stack: FlowStack, saved=None):
     """Density core: grid -> (Z0, log_det sum, standard-normal term).
 
-    `conds` is a per-flow list of conditioner grids (or None), each already
-    aligned to its flow's input row order. If `saved` is a list, each
-    flow's entries and then the latent are appended for stack_backward.
+    `cond` is the (M, h, w) conditioner grid in the waveform's row order, or
+    None. If `saved` is a list, each flow's entries and then the latent are
+    appended for stack_backward.
     """
     z, log_det = x, None
-    flows = zip(stack.nets, stack.permutations, _conds(conds, stack))
-    for k, (net, perm, cond) in enumerate(flows):
-        y, ld = flow_inverse(z, cond, net, saved, k)
+    cond_of = flow_conds(cond, stack, x.shape)
+    for k, (net, perm) in enumerate(zip(stack.nets, stack.permutations)):
+        y, ld = flow_inverse(z, cond_of(k), net, saved, k)
         z = np.empty_like(y)
         z[perm.row_map] = y
         log_det = ld if log_det is None else log_det + ld
@@ -183,48 +192,45 @@ def stack_backward(saved: list, stack: FlowStack, d_log_det, d_base, grads: dict
 
     Pops its entries flow by flow, so a flow's activations go once its
     gradients exist. Adds parameter gradients into grads; returns the grid's
-    gradient and the per-flow conditioner gradients (None if unconditioned).
+    gradient and the conditioner grid's (None if unconditioned), each flow's
+    conditioner gradient scattered back to the grid rows it gathered.
     """
     dz = -d_base * saved.pop()
-    d_conds = []
-    for net, perm in zip(reversed(stack.nets), reversed(stack.permutations)):
-        dz = dz[perm.row_map]  # the scatter's adjoint
+    d_cond = None
+    orders = stack.row_orders()
+    for k in reversed(range(stack.n_flows)):
+        dz = dz[stack.permutations[k].row_map]  # the scatter's adjoint
         x, sigma = saved.pop()
-        d_rows, d_cond = net_backward(saved, dz, dz * sigma * x + d_log_det, grads)
+        d_rows, d_flow = net_backward(saved, dz, dz * sigma * x + d_log_det, grads)
         dz = dz * sigma
         dz[:-1] += d_rows[1:]  # the row shift's adjoint
-        d_conds.append(d_cond)
-    return dz, d_conds[::-1]
+        if d_flow is not None:
+            d_cond = np.zeros_like(d_flow) if d_cond is None else d_cond
+            d_cond[:, orders[k]] += d_flow  # the gather's adjoint
+    return dz, d_cond
 
 
-def stack_inverse(x, conds, stack: FlowStack) -> tuple[np.ndarray, LikelihoodReport]:
+def stack_inverse(x, cond, stack: FlowStack) -> tuple[np.ndarray, LikelihoodReport]:
     """Grid -> latent plus its exact likelihood report."""
-    z, log_det, base = stack_loglik_terms(x, conds, stack)
+    z, log_det, base = stack_loglik_terms(x, cond, stack)
     report = LikelihoodReport(log_det=float(log_det), base_term=float(base), n_dims=z.size)
     return z, report
 
 
-def stack_forward(
-    z: np.ndarray,
-    conds,
-    stack: FlowStack,
-    stats: SynthStats | None = None,
-) -> np.ndarray:
-    """Latent -> grid: exact inverse of stack_inverse's transform."""
+def sample_walk(z, cond, stack: FlowStack, sample_flow, stats: SynthStats | None):
+    """Latent -> grid through the flows in reverse; sample_flow(x, cond_k, net, stats)
+    runs one flow's sampling direction, given its input rows and its conditioner rows."""
     x = np.asarray(z)
-    cond_list = _conds(conds, stack)
-    for net, perm, cond in reversed(list(zip(stack.nets, stack.permutations, cond_list))):
-        x = x[perm.row_map]  # gather = inverse of the scatter
-        x = flow_forward(x, cond, net, stats=stats)
+    cond_of = flow_conds(cond, stack, x.shape)
+    for k in reversed(range(stack.n_flows)):
+        x = x[stack.permutations[k].row_map]  # gather = inverse of the scatter
+        x = sample_flow(x, cond_of(k), stack.nets[k], stats)
     return x
 
 
-def _conds(conds, stack: FlowStack):
-    if conds is None:
-        return [None] * stack.n_flows
-    if len(conds) != stack.n_flows:
-        raise ValidationError("need one conditioner grid per flow")
-    return conds
+def stack_forward(z, cond, stack: FlowStack, stats: SynthStats | None = None) -> np.ndarray:
+    """Latent -> grid: exact inverse of stack_inverse's transform (naive engine)."""
+    return sample_walk(z, cond, stack, flow_forward, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,12 @@ class ModelConfig:
 
     def __post_init__(self):
         if isinstance(self.mel, dict):
+            unknown = set(self.mel) - {f.name for f in fields(MelConfig)}
+            if unknown:
+                raise ValidationError(f"unknown mel config keys: {sorted(unknown)}")
             self.mel = MelConfig(**self.mel)
+        if not isinstance(self.mel, MelConfig):
+            raise ValidationError(f"mel must be an object of mel settings, got {self.mel!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int" and type(value) is not int:  # bool, "4" and 4.0 are not ints

@@ -2,11 +2,11 @@
 
 A model is the flow stack (one conv net and one row permutation per flow),
 the mel upsampler, and the config that rebuilt them. Whole-waveform
-likelihood pads to a multiple of the height, squeezes, builds per-flow
-conditioner grids from the mel frames, and runs the stack in the density
+likelihood pads to a multiple of the height, squeezes, builds the one
+conditioner grid from the mel frames, and runs the stack in the density
 direction. grid_nll is the training loss of one grid: while a tape
 records, it is the tape's one node per clip, and its backward chains the
-hand-written backwards of the flows, the conditioner grids and the
+hand-written backwards of the flows, the conditioner grid and the
 upsampler. Synthesis draws a latent grid, runs the stack in the sampling
 direction (naive or queued), unsqueezes, and trims the pad.
 """
@@ -158,13 +158,11 @@ def cast_model(model: Model, dtype) -> Model:
 
 
 def conditioner_grids(model: Model, mel: MelSpectrogram, n_samples: int, saved=None):
-    """Upsampled, per-flow-permuted conditioner grids for n_samples of audio."""
+    """The upsampled (M, h, w) conditioner grid for n_samples of audio, in waveform row order."""
     if model.upsampler is None:
         return None
     feats = upsample(mel.frames.astype(model.dtype), model.upsampler, saved)
-    return cond_mod.conditioner_grids_for_length(
-        feats, n_samples, model.config.height, model.stack.permutations, saved
-    )
+    return cond_mod.conditioner_grids_for_length(feats, n_samples, model.config.height, saved)
 
 
 def check_sample_rate(model: Model, rate: int) -> None:
@@ -176,7 +174,7 @@ def check_sample_rate(model: Model, rate: int) -> None:
 
 
 def prepare_grid(model: Model, wav: Waveform):
-    """Pad, squeeze, and build conditioner grids for one waveform."""
+    """Pad, squeeze, and build the conditioner grid for one waveform."""
     check_sample_rate(model, wav.sample_rate)
     if len(wav) == 0:
         raise ValidationError("waveform has no samples")
@@ -184,17 +182,17 @@ def prepare_grid(model: Model, wav: Waveform):
         np.asarray(wav.samples, dtype=model.dtype), model.config.height
     )
     grid = squeeze(samples, model.config.height)
-    conds = None
+    cond = None
     if model.upsampler is not None:
         mel = cond_mod.mel_spectrogram(wav, model.config.mel)
-        conds = conditioner_grids(model, mel, len(samples))
-    return grid, conds, pad
+        cond = conditioner_grids(model, mel, len(samples))
+    return grid, cond, pad
 
 
 def loglik(model: Model, wav: Waveform) -> LikelihoodReport:
     """Exact log-likelihood of one waveform (padded to the grid)."""
-    grid, conds, _ = prepare_grid(model, wav)
-    _, report = stack_inverse(grid, conds, model.stack)
+    grid, cond, _ = prepare_grid(model, wav)
+    _, report = stack_inverse(grid, cond, model.stack)
     return report
 
 
@@ -206,17 +204,17 @@ def grid_nll(model: Model, grid: np.ndarray, mel: MelSpectrogram | None) -> Tens
     stack_backward, then the conditioner's adjoints, freeing it as it goes.
     """
     saved = [] if ad.recording() else None
-    conds = conditioner_grids(model, mel, grid.size, saved)
-    _, log_det, base = stack_loglik_terms(grid, conds, model.stack, saved)
+    cond = conditioner_grids(model, mel, grid.size, saved)
+    _, log_det, base = stack_loglik_terms(grid, cond, model.stack, saved)
     scale = -1.0 / grid.size
     params = model.parameters()
 
     def backward(g):
         grads: dict[int, np.ndarray] = {}
         d = g * scale
-        _, d_conds = stack_backward(saved, model.stack, d, d, grads)
+        _, d_cond = stack_backward(saved, model.stack, d, d, grads)
         if model.upsampler is not None:
-            d_feats = cond_mod.conditioner_grids_adjoint(saved, d_conds)
+            d_feats = cond_mod.conditioner_grids_adjoint(saved, d_cond)
             cond_mod.upsample_backward(saved, model.upsampler, d_feats, grads)
         return tuple(grads.get(id(p)) for p in params)
 
@@ -247,16 +245,16 @@ def synthesize(
     h = model.config.height
     padded, pad = pad_to_multiple(np.zeros(n_samples, dtype=model.dtype), h)
     total = len(padded)
-    conds = None
+    cond = None
     if model.upsampler is not None:
         if mel is None:
             raise ValidationError("conditioned model needs a mel spectrogram")
-        conds = conditioner_grids(model, mel, total)
+        cond = conditioner_grids(model, mel, total)
     z = sample_latent((h, total // h), std, rng).astype(model.dtype)
     if engine == "naive":
-        grid = stack_forward(z, conds, model.stack, stats=stats)
+        grid = stack_forward(z, cond, model.stack, stats=stats)
     elif engine == "queued":
-        grid = synth_queued(z, conds, model.stack, stats=stats)
+        grid = synth_queued(z, cond, model.stack, stats=stats)
     else:
         raise ValidationError(f"unknown synthesis engine {engine!r}")
     if not np.all(np.isfinite(grid)):

@@ -15,7 +15,8 @@ cannot represent v = 0.
 Every forward runs compiled_forward, a numpy forward over a net that
 compile_net has materialized once (weight norm applied, each filter split
 per height tap): kh GEMMs over views of one width-tap buffer plus the
-conditioner's projection, in one accumulation. The samplers call it directly.
+conditioner's projection of the flow's rows of the one conditioner grid, in
+one accumulation. The samplers call it directly.
 net_forward, which likelihood and training call, runs it over the whole
 grid; given a saved list it keeps each layer's gate outputs, the last
 layer's input and the skip sum. net_backward walks the layers top-down,
@@ -287,16 +288,6 @@ def compile_net(net: ConvNetParams) -> CompiledNet:
     )
 
 
-def cond_biases(cnet: CompiledNet, cond) -> np.ndarray | None:
-    """Check an (M, h, w) conditioner grid against the net; every layer's GEMMs read it."""
-    if cond is None:
-        return None
-    if any(layer.cond is None for layer in cnet.layers):
-        raise ValidationError("net has no conditioner projections but cond given")
-    # contiguous, the grid and its rows are BLAS operands as is (the squeeze transposes it)
-    return np.ascontiguousarray(cond)
-
-
 def compiled_forward(
     cnet: CompiledNet, rows: np.ndarray, cond_rows=None, taps=None, saved=None
 ):
@@ -308,13 +299,16 @@ def compiled_forward(
     width-tap matrices, zeros above the first grid row. By default they are
     ad.tap_rows views of ad.width_taps of x itself, so `rows` is the whole
     shifted grid; the queued sampler passes one row and reads its ring
-    slots. cond_rows is cond_biases' (M, n, w) grid for the same rows; each
+    slots. cond_rows is the (M, n, w) conditioner grid for the same rows,
+    C-contiguous so that it and its rows are BLAS operands as they are; each
     layer adds its projection of it to the kh tap GEMMs. If `saved` is a
     list, each layer's (tanh gate, sigmoid gate) is appended to it, then
     (last layer's input, skip sum): what net_backward reads.
     """
     n, w = rows.shape
     cond = None if cond_rows is None else cond_rows.reshape(len(cond_rows), n * w)
+    if cond is not None and any(layer.cond is None for layer in cnet.layers):
+        raise ValidationError("net has no conditioner projections but cond given")
     x = cnet.input_w[:, None, None] * rows + cnet.input_b[:, None, None]
     skip = 0.0
     for li, layer in enumerate(cnet.layers):
@@ -353,11 +347,10 @@ def net_forward(rows, cond, net: ConvNetParams, saved=None) -> tuple[np.ndarray,
 
     `cond` is an optional (M, h, w) conditioner grid added through each
     layer's 1x1 projection before the gate. Given a saved list, appends one
-    entry for net_backward: the compiled net, the rows, the contiguous
-    conditioner and compiled_forward's saved list.
+    entry for net_backward: the compiled net, the rows, the conditioner and
+    compiled_forward's saved list.
     """
     cnet = compile_net(net)
-    cond = cond_biases(cnet, cond)
     layers = None if saved is None else []
     mu, log_sigma = compiled_forward(cnet, rows, cond, saved=layers)
     if saved is not None:

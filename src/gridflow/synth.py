@@ -6,11 +6,12 @@ the last (k_h - 1) * d_h rows of that layer's input in a ring buffer, so each
 new row costs one row's worth of compute regardless of the row index: O(h w)
 per flow.
 
-Both engines run the same kernel, network.compiled_forward, on a net compiled
-once per flow and the same conditioner folding and sigma floor. They differ
-only in where a layer's height taps come from: views of one width-tap buffer
-over the full grid there, ring slots here. A slot holds a row's width taps, so
-a row step width-shifts only the new row and reads older taps in place.
+Both engines share one walk over the flows (flow.sample_walk) and run the
+same kernel, network.compiled_forward, on a net compiled once per flow and
+the same conditioner folding and sigma floor. They differ only in where a
+layer's height taps come from: views of one width-tap buffer over the full
+grid there, ring slots here. A slot holds a row's width taps, so a row step
+width-shifts only the new row and reads older taps in place.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ValidationError
-from .flow import SynthStats, _conds, floored_sigma, stack_forward
-from .network import CompiledNet, compile_net, compiled_forward, cond_biases
+from .flow import SynthStats, floored_sigma, sample_walk, stack_forward
+from .network import CompiledNet, compile_net, compiled_forward
 
 
 class LayerQueue:
@@ -85,27 +86,26 @@ def _row_step(
     return mu[0], log_sigma[0]
 
 
-def synth_queued(z, conds, stack, stats: SynthStats | None = None) -> np.ndarray:
+def synth_queued(z, cond, stack, stats: SynthStats | None = None) -> np.ndarray:
     """Latent grid -> waveform grid with per-layer queues; matches stack_forward."""
-    x = np.asarray(z)
+    return sample_walk(z, cond, stack, _queued_flow_forward, stats)
+
+
+def _queued_flow_forward(x, cond, net, stats: SynthStats | None) -> np.ndarray:
+    """One flow's sampling direction, a queued row step per row; cond holds its conditioner rows."""
     h, w = x.shape
-    cond_list = _conds(conds, stack)
-    for net, perm, cond in reversed(list(zip(stack.nets, stack.permutations, cond_list))):
-        x = x[perm.row_map]
-        cnet = compile_net(net)
-        qs = QueueState.for_net(cnet, w, x.dtype, net.residual_channels)
-        cond_grid = cond_biases(cnet, cond)
-        out = np.zeros_like(x)
-        prev = np.zeros(w, dtype=x.dtype)
-        for i in range(h):
-            cond_rows = None if cond_grid is None else cond_grid[:, i : i + 1]
-            mu_i, ls_i = _row_step(cnet, qs, prev, cond_rows, stats)
-            out[i] = (x[i] - mu_i) / floored_sigma(ls_i, stats)
-            prev = out[i]
-            if stats is not None:
-                stats.row_steps += 1
-        x = out
-    return x
+    cnet = compile_net(net)
+    qs = QueueState.for_net(cnet, w, x.dtype, net.residual_channels)
+    out = np.zeros_like(x)
+    prev = np.zeros(w, dtype=x.dtype)
+    for i in range(h):
+        cond_rows = None if cond is None else cond[:, i : i + 1]
+        mu_i, ls_i = _row_step(cnet, qs, prev, cond_rows, stats)
+        out[i] = (x[i] - mu_i) / floored_sigma(ls_i, stats)
+        prev = out[i]
+        if stats is not None:
+            stats.row_steps += 1
+    return out
 
 
 @dataclass
@@ -140,15 +140,15 @@ class BenchReport:
         }
 
 
-def bench(stack, z: np.ndarray, conds=None) -> BenchReport:
+def bench(stack, z: np.ndarray, cond=None) -> BenchReport:
     """Time both engines on one latent grid (model build and mel excluded)."""
     h, w = z.shape
     t0 = time.perf_counter()
     naive_stats = SynthStats()
-    x_naive = stack_forward(z, conds, stack, stats=naive_stats)
+    x_naive = stack_forward(z, cond, stack, stats=naive_stats)
     t1 = time.perf_counter()
     queued_stats = SynthStats()
-    x_queued = synth_queued(z, conds, stack, stats=queued_stats)
+    x_queued = synth_queued(z, cond, stack, stats=queued_stats)
     t2 = time.perf_counter()
     err = np.max(np.abs(x_naive - x_queued)) if x_naive.size else 0.0
     if err > 1e-3:

@@ -287,10 +287,10 @@ def check_queue_equivalence() -> tuple[str, bool, str]:
     _rig_moderate(model, np.random.default_rng(22))
     rng = np.random.default_rng(23)
     z = rng.standard_normal((16, 8))
-    conds = [rng.standard_normal((model.config.mel.n_mels, 16, 8)) for _ in range(2)]
-    naive = stack_forward(z, conds, model.stack)
+    cond = rng.standard_normal((model.config.mel.n_mels, 16, 8))
+    naive = stack_forward(z, cond, model.stack)
     stats = SynthStats()
-    queued = synth_queued(z, conds, model.stack, stats=stats)
+    queued = synth_queued(z, cond, model.stack, stats=stats)
     err = float(np.max(np.abs(naive - queued)))
     steps_ok = stats.row_steps == model.stack.n_flows * 16
     return (

@@ -446,6 +446,86 @@ class TestBadArguments:
         assert not (tmp_path / "run").exists()
 
 
+class TestMelConfigValidation:
+    """A bad nested mel config, from a config file or a checkpoint, exits 1 with one line."""
+
+    @pytest.mark.parametrize(
+        "mel,named",
+        [
+            (5, "mel"),
+            ({"hop": "x"}, "hop"),
+            ({"bogus": 1}, "bogus"),
+            ({"n_mels": 2.5}, "n_mels"),
+            ({"n_mels": 0}, "n_mels"),
+            ({"win": True}, "win"),
+        ],
+        ids=["not_object", "hop_string", "unknown_key", "n_mels_float", "n_mels_zero", "win_bool"],
+    )
+    def test_config_file(self, tmp_path, capsys, mel, named):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "conditioned": True, "mel": mel}))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "bench", "--config", config, "--seconds", 0.01
+        )
+        assert named in err and "Traceback" not in err
+
+    def test_checkpoint_model_config(self, tmp_path, capsys):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        manifest = tmp_path / "ck.manifest.json"
+        d = json.loads(manifest.read_text())
+        d["model_config"]["mel"]["hop"] = "x"
+        manifest.write_text(json.dumps(d))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "bench", "--checkpoint", tmp_path / "ck", "--seconds", 0.01
+        )
+        assert "hop" in err and "Traceback" not in err
+
+
+class TestTrainResume:
+    """--resume takes the model config from its checkpoint; --config may only repeat it."""
+
+    def _first_run(self, corpus):
+        tmp_path, manifest, config = corpus
+        code = run_cli(
+            "train", "--config", config, "--data", manifest, "--out-dir", tmp_path / "r1",
+            "--steps", 1, "--batch", 1, "--clip", 512, "--checkpoint-interval", 1,
+        )
+        assert code == 0
+        return tmp_path / "r1" / "ckpt-000001"
+
+    def test_resume_without_config(self, corpus, capsys):
+        tmp_path, manifest, _ = corpus
+        ckpt = self._first_run(corpus)
+        code = run_cli(
+            "train", "--data", manifest, "--out-dir", tmp_path / "r2", "--steps", 1,
+            "--batch", 1, "--clip", 512, "--checkpoint-interval", 1, "--resume", ckpt,
+        )
+        assert code == 0
+        assert (tmp_path / "r2" / "ckpt-000002.manifest.json").exists()
+        capsys.readouterr()
+
+    def test_config_differing_from_checkpoint(self, corpus, capsys):
+        tmp_path, manifest, _ = corpus
+        ckpt = self._first_run(corpus)
+        capsys.readouterr()
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**TINY_CONFIG, "residual_channels": 8}))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "train", "--config", other, "--data", manifest, "--out-dir", tmp_path / "r2",
+            "--steps", 1, "--batch", 1, "--clip", 512, "--resume", ckpt,
+        )
+        assert "--config" in err and "--resume" in err
+        assert not (tmp_path / "r2").exists()
+
+    def test_neither_config_nor_resume(self, corpus, capsys):
+        tmp_path, manifest, _ = corpus
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "train", "--data", manifest, "--out-dir", tmp_path / "r", "--steps", 1,
+        )
+        assert "--config" in err and "--resume" in err
+        assert not (tmp_path / "r").exists()
+
+
 class TestMalformedTensorFiles:
     """Tensor files of the wrong structure exit 1 with one error line."""
 

@@ -18,7 +18,13 @@ from gridflow.conditioner import (
     upsample_backward,
 )
 from gridflow.errors import ValidationError
-from gridflow.signal import Waveform, reverse_permutation, squeeze
+from gridflow.flow import FlowStack, flow_conds
+from gridflow.signal import (
+    Waveform,
+    bipartite_reverse_permutation,
+    reverse_permutation,
+    squeeze,
+)
 
 SR = 22050
 
@@ -196,40 +202,42 @@ class TestConditionerGrids:
     def test_squeeze_layout_per_channel(self):
         rng = np.random.default_rng(6)
         feats = rng.standard_normal((3, 24))
-        grids = conditioner_grids_for_length(feats, 24, 4, [reverse_permutation(4)])
-        assert len(grids) == 1
-        assert grids[0].shape == (3, 4, 6)
+        grid = conditioner_grids_for_length(feats, 24, 4)
+        assert grid.shape == (3, 4, 6)
+        assert grid.flags.c_contiguous
         for m in range(3):
-            assert np.array_equal(grids[0][m], squeeze(feats[m], 4))
+            assert np.array_equal(grid[m], squeeze(feats[m], 4))
 
     def test_cumulative_permutations(self):
+        # flow k's rows of the one grid are the grid scattered by
+        # permutations 0..k-1, the order flow k's input arrives in
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((2, 32))
-        perms = [reverse_permutation(8) for _ in range(3)]
-        grids = conditioner_grids_for_length(feats, 32, 8, perms)
-        assert len(grids) == 3
-        g0 = grids[0]
-        assert np.array_equal(grids[1], g0[:, perms[0].row_map, :])
-        assert np.array_equal(
-            grids[2], g0[:, perms[0].row_map, :][:, perms[1].row_map, :]
-        )
+        perms = [reverse_permutation(8), bipartite_reverse_permutation(8), reverse_permutation(8)]
+        grid = conditioner_grids_for_length(feats, 32, 8)
+        cond_of = flow_conds(grid, FlowStack(nets=[None] * 3, permutations=perms), (8, 4))
+        expect = grid
+        for k, perm in enumerate(perms):
+            flow_rows = cond_of(k)
+            assert np.array_equal(flow_rows, expect)
+            assert flow_rows.flags.c_contiguous  # a BLAS operand as it is
+            expect = np.empty_like(expect)
+            expect[:, perm.row_map] = flow_rows
 
     def test_ragged_tail_trimmed(self):
         feats = np.arange(2 * 21, dtype=np.float64).reshape(2, 21)
-        grids = conditioner_grids_for_length(feats, 21, 4, [reverse_permutation(4)])
-        assert grids[0].shape == (2, 4, 5)  # 21 -> 20 samples
+        grid = conditioner_grids_for_length(feats, 21, 4)
+        assert grid.shape == (2, 4, 5)  # 21 -> 20 samples
 
     def test_too_short_rejected(self):
         # fewer samples than one column, then fewer features than samples
         for n_samples in (3, 4):
             with pytest.raises(ValidationError, match="need"):
-                conditioner_grids_for_length(
-                    np.zeros((2, 3)), n_samples, 4, [reverse_permutation(4)]
-                )
+                conditioner_grids_for_length(np.zeros((2, 3)), n_samples, 4)
 
     def test_cut_to_length(self):
         feats = np.random.default_rng(8).standard_normal((2, 40))
-        grids = conditioner_grids_for_length(feats, 16, 4, [reverse_permutation(4)])
-        assert grids[0].shape == (2, 4, 4)
+        grid = conditioner_grids_for_length(feats, 16, 4)
+        assert grid.shape == (2, 4, 4)
         for m in range(2):
-            assert np.array_equal(grids[0][m], squeeze(feats[m, :16], 4))
+            assert np.array_equal(grid[m], squeeze(feats[m, :16], 4))

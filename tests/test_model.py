@@ -1,14 +1,17 @@
-"""Model assembly: permutation schedules, builds, casting, and likelihood."""
+"""Model assembly: permutation schedules, builds, casting, likelihood and its memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gridflow.conditioner import MelConfig
+from gridflow.conditioner import MelConfig, mel_spectrogram
 from gridflow.errors import ValidationError
-from gridflow.io import ModelConfig
+from gridflow.io import ModelConfig, load_preset
 from gridflow.model import (
     build_model,
     cast_model,
+    conditioner_grids,
     count_parameters,
     loglik,
     permutation_schedule,
@@ -102,10 +105,10 @@ class TestPrepareGrid:
     def test_pads_to_height_multiple(self):
         model = build_model(tiny_config(), seed=0)
         wav = Waveform(np.ones(10, dtype=np.float32), 22050)
-        grid, conds, pad = prepare_grid(model, wav)
+        grid, cond, pad = prepare_grid(model, wav)
         assert grid.shape == (4, 3)
         assert pad == 2
-        assert conds is None
+        assert cond is None
 
     def test_sample_rate_checked(self):
         model = build_model(tiny_config(), seed=0)
@@ -121,11 +124,9 @@ class TestPrepareGrid:
         model = build_model(tiny_config(conditioned=True), seed=0, dtype=np.float64)
         n = 256
         wav = Waveform(0.1 * np.sin(np.arange(n) / 10.0), 22050)
-        grid, conds, pad = prepare_grid(model, wav)
+        grid, cond, pad = prepare_grid(model, wav)
         assert pad == 0
-        assert len(conds) == model.stack.n_flows
-        for cond in conds:
-            assert cond.data.shape == (8, 4, n // 4)
+        assert cond.shape == (8, 4, n // 4)  # one grid; each flow gathers its rows
 
 
 class TestLoglik:
@@ -152,3 +153,51 @@ class TestSynthesize:
         model = build_model(tiny_config(), seed=0)
         with pytest.raises(ValidationError, match="n_samples"):
             synthesize(model, None, n_samples)
+
+
+class TestInferenceMemory:
+    """One conditioner grid: memory of 0.5 s of audio at wf-h16-c64 (fp32, fresh model).
+
+    Each bound lies between the figure measured with one permuted grid copy
+    per flow and the one measured with the single grid and one gathered
+    copy alive at a time (tracemalloc peaks, which do not drift with the
+    host's speed).
+    """
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return build_model(load_preset("wf-h16-c64"), seed=0)
+
+    @staticmethod
+    def _half_second(model):
+        rate = model.config.sample_rate
+        t = np.arange(rate // 2) / rate
+        return Waveform((0.3 * np.sin(2 * np.pi * 220 * t)).astype(np.float32), rate)
+
+    @staticmethod
+    def _peak_mib(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_one_conditioner_grid(self, model):
+        # 8 per-flow grids held 27.0 MiB; the one (80, 16, 690) grid holds 3.4
+        wav = self._half_second(model)
+        cond = conditioner_grids(model, mel_spectrogram(wav, model.config.mel), 11040)
+        assert cond.shape == (80, 16, 690) and cond.flags.c_contiguous
+        assert cond.nbytes / 2**20 <= 8
+
+    def test_loglik_peak_bounded(self, model):
+        # per-flow grids: 72.3 MiB; one grid: 48.6 MiB
+        wav = self._half_second(model)
+        assert self._peak_mib(lambda: loglik(model, wav)) <= 60
+
+    def test_queued_synthesis_peak_bounded(self, model):
+        # per-flow grids: 57.7 MiB; one grid: 23.8 MiB
+        wav = self._half_second(model)
+        mel = mel_spectrogram(wav, model.config.mel)
+        rng = np.random.default_rng(0)
+        assert self._peak_mib(lambda: synthesize(model, mel, len(wav), rng=rng)) <= 40

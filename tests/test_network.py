@@ -17,7 +17,6 @@ from gridflow.model import build_model, grid_nll
 from gridflow.network import (
     compile_net,
     compiled_forward,
-    cond_biases,
     default_dilations,
     init_conv_net,
     net_backward,
@@ -254,7 +253,7 @@ class TestCompiledForward:
         cond = None if cond_ch is None else rng.standard_normal((cond_ch, h, w))
         mu_ref, ls_ref = taped_net_forward(x, cond, net)
         cnet = compile_net(net)
-        mu, ls = compiled_forward(cnet, x, cond_biases(cnet, cond))
+        mu, ls = compiled_forward(cnet, x, cond)
         assert np.abs(mu - mu_ref.data).max() <= 1e-12
         assert np.abs(ls - ls_ref.data).max() <= 1e-12
         assert np.abs(ls_ref.data).max() > 0.1
@@ -275,7 +274,7 @@ class TestForwardMemory:
         cond = rng.standard_normal((80, 16, 690)).astype(np.float32)
         tracemalloc.start()
         try:
-            compiled_forward(cnet, rows, cond_biases(cnet, cond))
+            compiled_forward(cnet, rows, cond)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -291,7 +290,7 @@ class TestSavedForBackward:
         rows = rng.standard_normal((16, 128)).astype(np.float32)
         cond = rng.standard_normal((80, 16, 128)).astype(np.float32)
         saved = []
-        compiled_forward(cnet, rows, cond_biases(cnet, cond), saved=saved)
+        compiled_forward(cnet, rows, cond, saved=saved)
         nbytes = sum(a.nbytes for pair in saved for a in pair)
         assert nbytes <= (2 * 8 + 2) * 64 * 16 * 128 * 4
 
