@@ -176,6 +176,14 @@ def _spans(offsets: tuple[int, ...], n: int, size: int) -> tuple:
     return tuple(spans)
 
 
+@lru_cache(maxsize=1024)
+def live_taps(offsets: tuple[int, ...], n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(first, end, offsets) of the taps with |offset| < n: on an n-wide input the
+    others read only the zero border. They are contiguous around the centred tap."""
+    live = [a for a, off in enumerate(offsets) if abs(off) < n]
+    return live[0], live[-1] + 1, offsets[live[0] : live[-1] + 1]
+
+
 def width_taps(x: np.ndarray, offsets, size: int, top: int = 0, bottom: int = 0, out=None):
     """Zero-bordered (kw, C, top + H + bottom, size) buffer holding x[c, i, j + offsets[a]]."""
     c, h, w = x.shape

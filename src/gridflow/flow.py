@@ -19,7 +19,7 @@ The sampling direction inverts row by row: row i of X needs only rows < i,
 so h sequential net evaluations reconstruct the grid exactly. Both sampling
 engines share one walk back through the flows (sample_walk), run the
 tape-free compiled_forward and divide by floored_sigma: the naive reference
-here re-runs it over the whole grid for every row, and the queued engine
+here re-runs it over rows 0..i for every row i, and the queued engine
 (synth.py) runs it on one row through per-layer ring buffers.
 
 Also here: the loop-built, fully autoregressive 1-D reference transform
@@ -88,7 +88,9 @@ class LikelihoodReport:
 
 @dataclass
 class SynthStats:
-    """Counters filled in while sampling; row_flops has each queued row step's multiply-adds."""
+    """Counters filled in while sampling; row_flops has the multiply-adds each queued row
+    step computes, which skips the width taps that are dead at the grid's width and the
+    height taps whose ring slot is not yet written."""
 
     row_steps: int = 0
     full_net_evals: int = 0
@@ -138,10 +140,10 @@ def flow_forward(
     net: ConvNetParams,
     stats: SynthStats | None = None,
 ) -> np.ndarray:
-    """Sampling direction for one flow, one full net pass per row (reference).
+    """Sampling direction for one flow, one net pass per row (reference).
 
     Row i of the output depends only on already-generated rows < i, so the
-    grid is filled top to bottom.
+    grid is filled top to bottom, and pass i runs over rows 0..i only.
     """
     z = np.asarray(z)
     h, w = z.shape
@@ -149,7 +151,9 @@ def flow_forward(
     x = np.zeros_like(z)
     shifted = np.zeros_like(z)
     for i in range(h):
-        mu, log_sigma = compiled_forward(cnet, shifted, cond)
+        mu, log_sigma = compiled_forward(
+            cnet, shifted[: i + 1], None if cond is None else cond[:, : i + 1]
+        )
         x[i] = (z[i] - mu[i]) / floored_sigma(log_sigma[i], stats)
         if i + 1 < h:
             shifted[i + 1] = x[i]
@@ -187,21 +191,24 @@ def stack_loglik_terms(x, cond, stack: FlowStack, saved=None):
     return z, log_det, base
 
 
-def stack_backward(saved: list, stack: FlowStack, d_log_det, d_base, grads: dict):
-    """Backward of stack_loglik_terms for the gradients of its log_det and base.
+def stack_backward(saved: list, cond, stack: FlowStack, d_log_det, d_base, grads: dict):
+    """Backward of stack_loglik_terms(x, cond, stack, saved) for the gradients of its
+    log_det and base.
 
     Pops its entries flow by flow, so a flow's activations go once its
-    gradients exist. Adds parameter gradients into grads; returns the grid's
+    gradients exist, and gathers each flow's conditioner rows again from the
+    one grid. Adds parameter gradients into grads; returns the grid's
     gradient and the conditioner grid's (None if unconditioned), each flow's
     conditioner gradient scattered back to the grid rows it gathered.
     """
     dz = -d_base * saved.pop()
     d_cond = None
     orders = stack.row_orders()
+    cond_of = flow_conds(cond, stack, dz.shape)
     for k in reversed(range(stack.n_flows)):
         dz = dz[stack.permutations[k].row_map]  # the scatter's adjoint
         x, sigma = saved.pop()
-        d_rows, d_flow = net_backward(saved, dz, dz * sigma * x + d_log_det, grads)
+        d_rows, d_flow = net_backward(saved, cond_of(k), dz, dz * sigma * x + d_log_det, grads)
         dz = dz * sigma
         dz[:-1] += d_rows[1:]  # the row shift's adjoint
         if d_flow is not None:

@@ -55,14 +55,23 @@ class ModelConfig:
                 raise ValidationError(f"{f.name} must be an integer, got {value!r}")
         if self.height < 1 or self.n_flows < 1 or self.n_layers < 1:
             raise ValidationError("height, n_flows, n_layers must be >= 1")
-        if self.residual_channels < 1:
-            raise ValidationError("residual_channels must be >= 1")
+        if self.residual_channels < 1 or self.kernel_h < 1 or self.sample_rate < 1:
+            raise ValidationError("residual_channels, kernel_h, sample_rate must be >= 1")
+        if self.kernel_w < 1 or self.kernel_w % 2 == 0:  # width taps are centred on the column
+            raise ValidationError(f"kernel_w must be odd and >= 1, got {self.kernel_w}")
         if self.permutation_strategy not in ("auto", "none", "reverse", "bipartite_mix"):
             raise ValidationError(
                 f"unknown permutation strategy {self.permutation_strategy!r}"
             )
-        if self.dilations_h is not None and len(self.dilations_h) != self.n_layers:
-            raise ValidationError("dilations_h must have one entry per layer")
+        dil = self.dilations_h
+        if dil is not None and not (
+            isinstance(dil, list)
+            and len(dil) == self.n_layers
+            and all(type(d) is int and d >= 1 for d in dil)
+        ):
+            raise ValidationError(
+                f"dilations_h must list one positive integer per layer, got {dil!r}"
+            )
 
 
 def config_from_dict(d: dict) -> ModelConfig:
@@ -77,8 +86,8 @@ def config_from_dict(d: dict) -> ModelConfig:
 
 def load_config(path) -> ModelConfig:
     try:
-        d = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
+        d = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ValidationError(f"config is not valid JSON: {e}")
     return config_from_dict(d)
 
@@ -142,8 +151,8 @@ def load_tensors(base_path) -> tuple[dict[str, np.ndarray], dict]:
     if not blob_path.is_file():
         raise CheckpointError(f"missing blob: {blob_path}")
     try:
-        manifest = json.loads(man_path.read_text())
-    except json.JSONDecodeError as e:
+        manifest = json.loads(man_path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"manifest is not valid JSON: {e}")
     if not isinstance(manifest, dict) or not isinstance(manifest.get("tensors"), list):
         raise CheckpointError(f"manifest is not an object with a 'tensors' list: {man_path}")
@@ -194,8 +203,12 @@ def read_dataset_manifest(path) -> list[DatasetEntry]:
     man = Path(path)
     if not man.is_file():
         raise ValidationError(f"dataset manifest not found: {man}")
+    try:
+        lines = man.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"dataset manifest is not UTF-8 text: {e}")
     entries = []
-    for ln, line in enumerate(man.read_text().splitlines(), start=1):
+    for ln, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:

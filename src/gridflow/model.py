@@ -212,7 +212,7 @@ def grid_nll(model: Model, grid: np.ndarray, mel: MelSpectrogram | None) -> Tens
     def backward(g):
         grads: dict[int, np.ndarray] = {}
         d = g * scale
-        _, d_cond = stack_backward(saved, model.stack, d, d, grads)
+        _, d_cond = stack_backward(saved, cond, model.stack, d, d, grads)
         if model.upsampler is not None:
             d_feats = cond_mod.conditioner_grids_adjoint(saved, d_cond)
             cond_mod.upsample_backward(saved, model.upsampler, d_feats, grads)

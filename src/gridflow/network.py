@@ -16,7 +16,9 @@ Every forward runs compiled_forward, a numpy forward over a net that
 compile_net has materialized once (weight norm applied, each filter split
 per height tap): kh GEMMs over views of one width-tap buffer plus the
 conditioner's projection of the flow's rows of the one conditioner grid, in
-one accumulation. The samplers call it directly.
+one accumulation. The buffer holds only the live width taps: on a grid w
+columns wide a tap at offset |o| >= w reads only the zero border, so its
+products are exact zeros and are skipped. The samplers call it directly.
 net_forward, which likelihood and training call, runs it over the whole
 grid; given a saved list it keeps each layer's gate outputs, the last
 layer's input and the skip sum. net_backward walks the layers top-down,
@@ -295,15 +297,18 @@ def compiled_forward(
 
     Layer li's height taps come from taps(li, x, offsets), where x is the
     layer's (R, n, w) input for these rows and offsets lists, oldest first,
-    each tap's row offset (<= 0) from x's rows; it returns kh (kw*R, n*w)
-    width-tap matrices, zeros above the first grid row. By default they are
-    ad.tap_rows views of ad.width_taps of x itself, so `rows` is the whole
-    shifted grid; the queued sampler passes one row and reads its ring
-    slots. cond_rows is the (M, n, w) conditioner grid for the same rows,
-    C-contiguous so that it and its rows are BLAS operands as they are; each
-    layer adds its projection of it to the kh tap GEMMs. If `saved` is a
-    list, each layer's (tanh gate, sigmoid gate) is appended to it, then
-    (last layer's input, skip sum): what net_backward reads.
+    each tap's row offset (<= 0) from x's rows; it returns the last k <= kh
+    taps, (kw'*R, n*w) matrices of the live width taps (ad.live_taps), zeros
+    above the first grid row, and the layer takes the last k filter blocks.
+    By default they are all kh ad.tap_rows views of ad.width_taps of x
+    itself, so `rows` is the shifted grid or its first rows; the queued
+    sampler passes one row, reads its ring slots and drops the taps not yet
+    written. cond_rows is the (M, n, w) conditioner for the same rows, a row
+    range of a C-contiguous grid, so that each channel's rows are one BLAS
+    operand as they are; each layer adds its projection of it to the tap
+    GEMMs. If `saved` is a list, each layer's (tanh gate, sigmoid gate) is
+    appended to it, then (last layer's input, skip sum): what net_backward
+    reads.
     """
     n, w = rows.shape
     cond = None if cond_rows is None else cond_rows.reshape(len(cond_rows), n * w)
@@ -314,11 +319,12 @@ def compiled_forward(
     for li, layer in enumerate(cnet.layers):
         r_ch = layer.proj_w.shape[1]
         at = layer.row_offsets
+        lo, hi, cols = ad.live_taps(layer.col_offsets, w)
         if taps is None:
-            hs = ad.tap_rows(ad.width_taps(x, layer.col_offsets, w, -at[0]), at)
+            hs = ad.tap_rows(ad.width_taps(x, cols, w, -at[0]), at)
         else:
             hs = taps(li, x, at)
-        pre = ad.tap_conv(layer.filts, hs)
+        pre = ad.tap_conv(layer.filts[len(at) - len(hs) :, :, lo * r_ch : hi * r_ch], hs)
         if cond is not None:
             pre += layer.cond @ cond
         pre += layer.bias[:, None]
@@ -347,25 +353,26 @@ def net_forward(rows, cond, net: ConvNetParams, saved=None) -> tuple[np.ndarray,
 
     `cond` is an optional (M, h, w) conditioner grid added through each
     layer's 1x1 projection before the gate. Given a saved list, appends one
-    entry for net_backward: the compiled net, the rows, the conditioner and
-    compiled_forward's saved list.
+    entry for net_backward: the compiled net, the rows and compiled_forward's
+    saved list. The conditioner is not kept; net_backward is handed it again.
     """
     cnet = compile_net(net)
     layers = None if saved is None else []
     mu, log_sigma = compiled_forward(cnet, rows, cond, saved=layers)
     if saved is not None:
-        saved.append((net, cnet, rows, cond, layers))
+        saved.append((net, cnet, rows, layers))
     return mu, log_sigma
 
 
-def net_backward(saved: list, d_mu, d_log_sigma, grads: dict):
-    """Backward of net_forward for the gradients of (mu, log_sigma).
+def net_backward(saved: list, cond, d_mu, d_log_sigma, grads: dict):
+    """Backward of net_forward(rows, cond, net, saved) for the gradients of (mu, log_sigma).
 
     Pops net_forward's entry and walks from the heads to the input, dropping
-    each layer's gates once used. Adds parameter gradients into grads;
-    returns those of the rows and the conditioner (None if unconditioned).
+    each layer's gates once used. Adds parameter gradients into grads, the
+    filter's dead width taps (ad.live_taps) as exact zeros; returns those of
+    the rows and the conditioner (None if unconditioned).
     """
-    net, cnet, rows, cond, layers = saved.pop()
+    net, cnet, rows, layers = saved.pop()
     n, w = rows.shape
     m = n * w
     d_out = np.stack([d_mu, d_log_sigma]).reshape(2, m)
@@ -400,7 +407,11 @@ def net_backward(saved: list, d_mu, d_log_sigma, grads: dict):
         if cond is not None:
             layer.cond_proj.add_grad(grads, d_pre @ cond_flat.T)
             d_cond += cl.cond.T @ d_pre
-        d_filt, d_in = ad.tap_conv_adjoint(d_pre, cl.filts, x, cl.row_offsets, cl.col_offsets, w)
+        lo, hi, cols = ad.live_taps(cl.col_offsets, w)
+        d_filt = np.zeros_like(layer.filter.v.data)
+        d_filt[..., lo:hi], d_in = ad.tap_conv_adjoint(
+            d_pre, cl.filts[:, :, lo * r_ch : hi * r_ch], x, cl.row_offsets, cols, w
+        )
         layer.filter.add_grad(grads, d_filt)
         d_x += d_in
     d_x = d_x.reshape(-1, m)

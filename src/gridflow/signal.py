@@ -123,6 +123,8 @@ def read_wav(path) -> Waveform:
         raise ValidationError(f"only mono audio is supported, got {channels} channels")
     if width != 2:
         raise ValidationError(f"only 16-bit PCM is supported, got {8 * width}-bit")
+    if len(frames) % 2:
+        raise ValidationError(f"WAV data of {len(frames)} bytes is not a whole number of frames")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
 

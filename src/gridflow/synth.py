@@ -10,8 +10,10 @@ Both engines share one walk over the flows (flow.sample_walk) and run the
 same kernel, network.compiled_forward, on a net compiled once per flow and
 the same conditioner folding and sigma floor. They differ only in where a
 layer's height taps come from: views of one width-tap buffer over the full
-grid there, ring slots here. A slot holds a row's width taps, so a row step
-width-shifts only the new row and reads older taps in place.
+grid there, ring slots here. A slot holds a row's live width taps
+(ad.live_taps), so a row step width-shifts only the new row and reads older
+taps in place; while a slot is unwritten (the first rows) its height tap
+reads the zero pad and is skipped.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .network import CompiledNet, compile_net, compiled_forward
 
 
 class LayerQueue:
-    """Ring buffer of a conv layer's recent input rows, each held as its (kw, C, 1, w) width taps.
+    """Ring buffer of a conv layer's recent input rows, each held as its (kw', C, 1, w) width taps.
 
     It holds the newest row and the c = (k_h - 1) * d_h rows before it, the
     layer's height reach; slots not yet written are zeros (causal pad).
@@ -58,8 +60,8 @@ class QueueState:
 
     @classmethod
     def for_net(cls, net: CompiledNet, width: int, dtype, channels: int):
-        queues = [LayerQueue(-c.row_offsets[0], channels, width, dtype, c.col_offsets)
-                  for c in net.layers]
+        queues = [LayerQueue(-c.row_offsets[0], channels, width, dtype,
+                             ad.live_taps(c.col_offsets, width)[2]) for c in net.layers]
         return cls(queues=queues)
 
 
@@ -73,16 +75,21 @@ def _row_step(
     """One generated row: previous waveform row in, (mu, log_sigma) row out."""
 
     def taps(li, x, offsets):
-        qs.queues[li].push(x)
-        return [qs.queues[li].taps(-off) for off in offsets]
+        q = qs.queues[li]
+        q.push(x)
+        return [q.taps(-off) for off in offsets if -off < q.pushed]  # written slots only
 
     mu, log_sigma = compiled_forward(cnet, prev_row[None], cond_rows, taps)
     if stats is not None:
         w = len(prev_row)
         per_col = cnet.input_w.size + cnet.skip_head_w.size + cnet.out_w.size
-        per_col += sum(layer.filts.size + layer.proj_w.size for layer in cnet.layers)
+        per_col += sum(layer.proj_w.size for layer in cnet.layers)
         per_col += 0 if cond_rows is None else sum(layer.cond.size for layer in cnet.layers)
-        stats.row_flops.append(per_col * w)
+        live = sum(  # written height taps x 2R x (kw' R w) live width-tap values
+            sum(-off < q.pushed for off in layer.row_offsets) * len(layer.bias) * q.slots[0].size
+            for layer, q in zip(cnet.layers, qs.queues)
+        )
+        stats.row_flops.append(per_col * w + live)
     return mu[0], log_sigma[0]
 
 

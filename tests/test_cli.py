@@ -481,6 +481,72 @@ class TestMelConfigValidation:
         assert "hop" in err and "Traceback" not in err
 
 
+class TestConfigRanges:
+    """A config field out of its range exits 1 with one line, before any work."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("kernel_w", 0),
+            ("kernel_w", 2),  # an even width kernel has no centred tap
+            ("kernel_h", 0),
+            ("kernel_h", -1),
+            ("sample_rate", 0),
+            ("sample_rate", -5),
+            ("dilations_h", [0, 1]),
+            ("dilations_h", [-1, 1]),
+            ("dilations_h", ["a", 1]),
+            ("dilations_h", 5),
+        ],
+        ids=[
+            "kernel_w_0", "kernel_w_even", "kernel_h_0", "kernel_h_negative", "sample_rate_0",
+            "sample_rate_negative", "dilation_0", "dilation_negative", "dilation_string",
+            "dilations_int",
+        ],
+    )
+    def test_config_file(self, tmp_path, capsys, field, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, field: value}))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "bench", "--config", config, "--seconds", 0.05
+        )
+        assert field in err and "Traceback" not in err
+
+
+class TestUndecodableFiles:
+    """A file whose bytes cannot be decoded exits 1 with one line."""
+
+    def test_wav_cut_to_odd_byte_count(self, tmp_path, capsys):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        wav = tmp_path / "cut.wav"
+        write_wav(wav, Waveform(np.full(64, 0.1), 22050))
+        wav.write_bytes(wav.read_bytes()[:-1])  # the data chunk loses half a frame
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "loglik", "--checkpoint", tmp_path / "ck", "--wav", wav
+        )
+        assert "frames" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "config", "dataset"])
+    def test_manifest_not_utf8(self, corpus, capsys, kind):
+        tmp_path, manifest, config = corpus
+        ckpt = tmp_path / "ck"
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), ckpt)
+        wav = tmp_path / "u0.wav"
+        argv = {
+            "checkpoint": ("loglik", "--checkpoint", ckpt, "--wav", wav),
+            "config": ("bench", "--config", config, "--seconds", 0.05),
+            "dataset": ("train", "--config", config, "--data", manifest,
+                        "--out-dir", tmp_path / "run", "--steps", 1, "--clip", 512),
+        }[kind]
+        path = {"checkpoint": Path(f"{ckpt}.manifest.json"), "config": config,
+                "dataset": manifest}[kind]
+        text = path.read_bytes()
+        cut = text.index(b'"', text.index(b'"') + 1)  # inside the first JSON string
+        path.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        err = TestFileSystemErrors._fails_cleanly(capsys, *argv)
+        assert "utf-8" in err.lower() and "Traceback" not in err
+
+
 class TestTrainResume:
     """--resume takes the model config from its checkpoint; --config may only repeat it."""
 

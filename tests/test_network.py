@@ -200,8 +200,17 @@ NET_VARIANTS = pytest.mark.parametrize(
         (8, 5, 3, 1, [1, 2], [1, 1], None),
         (4, 7, 1, 3, [1, 1], [1, 2], 3),
         (3, 4, 3, 3, [1, 4], [2, 8], 2),  # shorter and narrower than the reach
+        # a width tap at offset o reads only the zero border once |o| >= w
+        (8, 1, 3, 3, [1, 2], [1, 2], None),  # one column: every side tap is dead
+        (6, 2, 3, 3, [1, 1], [2, 1], None),  # w = d_w of layer 0, d_w + 1 of layer 1
+        (4, 5, 3, 3, [2, 1], [4, 5], 2),  # w = d_w + 1 of layer 0, d_w of layer 1
+        (8, 3, 3, 5, [1, 1], [1, 2], 2),  # kw = 5: taps at +-4 dead, +-2 live
+        (2, 4, 3, 3, [1, 2], [1, 4], 2),  # two rows, below the height reach of 7
     ],
-    ids=["plain", "conditioned", "dilated", "kernel_w1", "kernel_h1", "short_grid"],
+    ids=[
+        "plain", "conditioned", "dilated", "kernel_w1", "kernel_h1", "short_grid",
+        "width1", "width2", "width_dil_plus1", "kernel_w5_partial", "below_reach",
+    ],
 )
 
 
@@ -308,7 +317,7 @@ class TestNetBackward:
         a, b = rng.standard_normal((2, h, w))
         saved, grads = [], {}
         mu, ls = net_forward(x, cond, net, saved)
-        d_x, d_cond = net_backward(saved, a, b, grads)
+        d_x, d_cond = net_backward(saved, cond, a, b, grads)
         assert saved == []
         # the oracle, with the grid and conditioner as leaves so backward reports their gradients
         xt = ad.Parameter(x, "grid")
@@ -458,7 +467,7 @@ class TestShapes:
 
         saved, grads = [], {}
         mu, ls = net_forward(x, None, net, saved)
-        net_backward(saved, 2.0 * mu, 2.0 * ls, grads)
+        net_backward(saved, None, 2.0 * mu, 2.0 * ls, grads)
         layer = net.layers[0]
         eps = 1e-6
         for p in (layer.filter.g, layer.filter.v):

@@ -126,6 +126,14 @@ class TestLayerQueue:
         assert np.array_equal(taps[2], np.hstack([x[:, 1:], zero]))  # column j reads j + 1
 
 
+    def test_centre_only_layer_holds_one_tap(self):
+        # width dilation 4 on 4 columns: both side taps read only the zero border
+        net = moderate_net(np.random.default_rng(3), [1, 1], [1, 4])
+        qs = QueueState.for_net(compile_net(net), 4, np.float64, net.residual_channels)
+        assert [q.slots.shape[1] for q in qs.queues] == [3, 1]
+        assert qs.queues[1].col_offsets == (0,)
+
+
 class TestQueueContents:
     @pytest.mark.parametrize("dil_h", [[1, 1], [1, 2]])
     def test_final_buffers_match_full_recompute(self, dil_h):
@@ -220,6 +228,28 @@ class TestEngineEquivalence:
         assert np.abs(x_naive - x_queued).max() <= 1e-12
         assert np.abs(x_naive - z).max() > 0.1  # every flow moved the data
 
+    @pytest.mark.parametrize(
+        "h,w",
+        [(8, 1), (8, 2), (8, 4), (8, 5), (3, 5)],
+        ids=["width1", "width2", "width_eq_dil", "width_dil_plus1", "below_reach"],
+    )
+    def test_narrow_grids(self, h, w):
+        # width dilations 1 and 4, so a side tap dies at w = 1 or at w = 4;
+        # height dilations 1 and 2 reach 7 rows, more than h = 3. Both engines
+        # against the taped oracle's density pass (identity row orders)
+        rng = np.random.default_rng(81)
+        nets = [moderate_net(rng, [1, 2], [1, 4], cond_ch=3) for _ in range(2)]
+        stack = FlowStack(nets=nets, permutations=[identity_permutation(h)] * 2)
+        cond, z = rng.standard_normal((3, h, w)), rng.standard_normal((h, w))
+        for engine in (stack_forward, synth_queued):
+            x = engine(z, cond, stack)
+            y = x
+            for net in nets:
+                mu, ls = taped_net_forward(shift_down(y), cond, net)
+                y = np.exp(ls.data) * y + mu.data
+            assert np.abs(y - z).max() <= 1e-12
+            assert np.abs(x - z).max() > 0.02  # the flows moved the data
+
     def test_wrong_cond_shape_rejected(self):
         stack = rigged_stack(4, 2, 40)
         z = np.zeros((4, 4))
@@ -288,25 +318,36 @@ class TestSigmaFloor:
 
 class TestConstantRowCost:
     def test_flops_do_not_depend_on_values(self):
+        # multiply-adds per column: the input projection (R = 3), per layer
+        # the residual and skip projections (R x 2R) and, per written height
+        # tap, 3 width taps (3 R x 2R), then the skip head (R x R) and the
+        # output head (R x 2). Rows 0 and 1 of these height-dilation-1 layers
+        # skip 2 and 1 height taps, whose ring slots still hold the zero pad
         stack = rigged_stack(8, 1, 60)
+        r, w = 3, 4
+        fixed = r + 2 * r * 2 * r + r * r + r * 2
+        by_hand = [(fixed + 2 * n_h * 3 * r * 2 * r) * w for n_h in (1, 2, 3, 3, 3, 3, 3, 3)]
+        assert by_hand[:3] == [648, 1080, 1512]
         for z in (np.zeros((8, 4)), np.random.default_rng(61).standard_normal((8, 4))):
             stats = SynthStats()
             synth_queued(z, None, stack, stats=stats)
-            assert len(set(stats.row_flops)) == 1  # every row costs the same
+            assert stats.row_flops == by_hand
 
     def test_conditioned_count_by_hand(self):
-        # multiply-adds per column: the input projection (R), per layer the
-        # 3 x 3 taps (9 R x 2R), the conditioner (M x 2R) and the residual
-        # and skip projections (R x 2R), then the skip head (R x R) and the
-        # output head (R x 2)
-        r, m, h, w = 3, 5, 4, 6
+        # per column as above, plus the conditioner (M x 2R) per layer. On 2
+        # columns the width-dilation-2 layer keeps only its centre tap
+        # (R x 2R per height tap), the dilation-1 layer all 3 (3 R x 2R)
+        r, m, h, w = 3, 5, 4, 2
         net = init_conv_net(r, 2, cond_channels=m, rng=np.random.default_rng(63))
+        assert [layer.dilation_w for layer in net.layers] == [1, 2]
         stack = FlowStack(nets=[net], permutations=[identity_permutation(h)])
         cond = np.random.default_rng(64).standard_normal((m, h, w)).astype(np.float32)
         stats = SynthStats()
         synth_queued(np.zeros((h, w), dtype=np.float32), cond, stack, stats=stats)
-        per_col = r + 2 * (9 * r * 2 * r + m * 2 * r + r * 2 * r) + r * r + r * 2
-        assert stats.row_flops == [per_col * w] * h
+        fixed = r + 2 * (m * 2 * r + r * 2 * r) + r * r + r * 2
+        by_hand = [(fixed + n_h * (3 + 1) * r * 2 * r) * w for n_h in (1, 2, 3, 3)]
+        assert by_hand == [372, 516, 660, 660]
+        assert stats.row_flops == by_hand
 
     def test_flop_count_shared_across_inputs(self):
         stack = rigged_stack(8, 1, 62)
