@@ -44,7 +44,7 @@ from .signal import (
     unsqueeze,
     write_wav,
 )
-from .synth import bench, synth_queued
+from .synth import synth_queued
 from .train import AdamState, Dataset, TrainConfig, adam_step, sample_clip, train_loop
 
 __version__ = "0.1.0"

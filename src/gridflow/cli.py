@@ -12,10 +12,10 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
-from . import synth as synth_mod
 from .conditioner import MelSpectrogram, mel_spectrogram
 from .errors import NumericalError, ValidationError
 from .flow import SynthStats
@@ -28,16 +28,13 @@ from .io import (
 )
 from .model import (
     build_model,
-    cast_model,
     check_sample_rate,
-    conditioner_grids,
     count_parameters,
     load_checkpoint,
     loglik,
-    sample_latent,
     synthesize,
 )
-from .signal import Waveform, pad_to_multiple, read_wav, write_wav
+from .signal import Waveform, read_wav, write_wav
 from .train import Dataset, TrainConfig, train_loop
 from .verify import run_checks
 
@@ -266,6 +263,7 @@ def cmd_loglik(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """Time `synthesize` with each engine on one mel and one latent draw."""
     dtype = DTYPES[args.precision]
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint, dtype=dtype)
@@ -274,31 +272,41 @@ def cmd_bench(args) -> int:
     else:
         raise ValidationError("bench needs --checkpoint or --config")
     h = model.config.height
-    n = int(args.seconds * model.config.sample_rate)
-    padded, _ = pad_to_multiple(np.zeros(max(n, h), dtype=model.dtype), h)
-    cond = None
+    n = -(-max(int(args.seconds * model.config.sample_rate), h) // h) * h  # whole columns
+    mel = None
     if model.upsampler is not None:
         # synthetic conditioning: mel of a quiet noise signal of matching length
-        rng = np.random.default_rng(args.seed)
-        probe_len = max(len(padded), model.config.mel.win)
-        probe = Waveform(
-            rng.standard_normal(probe_len) * 0.01, model.config.sample_rate
-        )
-        mel = mel_spectrogram(probe, model.config.mel)
-        cond = conditioner_grids(model, mel, len(padded))
-    rng = np.random.default_rng(args.seed + 1)
-    z = sample_latent((h, len(padded) // h), 1.0, rng).astype(model.dtype)
-    report = synth_mod.bench(model.stack, z, cond)
-    d = report.as_dict()
-    d["audio_seconds"] = report.n_samples / model.config.sample_rate
-    d["real_time_factor"] = d["audio_seconds"] / report.queued_seconds
+        probe = np.random.default_rng(args.seed).standard_normal(max(n, model.config.mel.win))
+        mel = mel_spectrogram(Waveform(probe * 0.01, model.config.sample_rate), model.config.mel)
+    seconds, audio = {}, {}
+    for engine in ("naive", "queued"):
+        stats = SynthStats()
+        rng = np.random.default_rng(args.seed + 1)  # both engines get the same latent
+        t0 = time.perf_counter()
+        audio[engine] = synthesize(model, mel, n, rng=rng, engine=engine, stats=stats).samples
+        seconds[engine] = time.perf_counter() - t0
+    err = np.max(np.abs(audio["naive"] - audio["queued"]))
+    if err > 1e-3:
+        raise ValidationError(f"engines disagree by {err:.3e}; refusing to report timings")
+    d = {
+        "n_samples": n,
+        "height": h,
+        "n_flows": model.stack.n_flows,
+        "sequential_steps": stats.row_steps,  # the queued engine's
+        "naive_seconds": seconds["naive"],
+        "queued_seconds": seconds["queued"],
+        "speedup": seconds["naive"] / seconds["queued"],
+        "samples_per_second": n / seconds["queued"],
+        "audio_seconds": n / model.config.sample_rate,
+    }
+    d["real_time_factor"] = d["audio_seconds"] / seconds["queued"]
     if args.json:
         print(json.dumps(d, sort_keys=True))
     else:
         print(
-            f"{report.n_samples} samples, {report.sequential_steps} sequential steps: "
-            f"naive {report.naive_seconds:.3f}s, queued {report.queued_seconds:.3f}s "
-            f"({report.speedup:.1f}x, {report.samples_per_second:,.0f} samples/s)"
+            f"{n} samples, {d['sequential_steps']} sequential steps: "
+            f"naive {d['naive_seconds']:.3f}s, queued {d['queued_seconds']:.3f}s "
+            f"({d['speedup']:.1f}x, {d['samples_per_second']:,.0f} samples/s)"
         )
     return 0
 

@@ -126,9 +126,7 @@ class UpsamplerParams:
         )
 
 
-def init_upsampler(
-    hop: int = 256, rng=None, dtype=np.float32, weight_norm: bool = True
-) -> UpsamplerParams:
+def init_upsampler(hop: int = 256, rng=None, dtype=np.float32) -> UpsamplerParams:
     """Build the upsampler for a given hop; hop must be a perfect square of the stride pair."""
     stride = int(round(hop**0.5))
     if stride * stride != hop:
@@ -137,9 +135,9 @@ def init_upsampler(
         rng = np.random.default_rng(0)
     shape = (1, 1, 3, 2 * stride)
     return UpsamplerParams(
-        kernel1=_normed("upsampler.kernel1", shape, rng, dtype, weight_norm),
+        kernel1=_normed("upsampler.kernel1", shape, rng, dtype),
         bias1=Parameter(np.zeros((), dtype=dtype), "upsampler.bias1"),
-        kernel2=_normed("upsampler.kernel2", shape, rng, dtype, weight_norm),
+        kernel2=_normed("upsampler.kernel2", shape, rng, dtype),
         bias2=Parameter(np.zeros((), dtype=dtype), "upsampler.bias2"),
         stride=stride,
     )

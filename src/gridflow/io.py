@@ -5,7 +5,8 @@ identical models produce identical bytes) and a raw blob of little-endian
 float32 values. The manifest records format version, per-tensor name, shape
 and byte offset, plus model hyperparameters, training step, and seed.
 Distinct failure modes get distinct errors: version mismatch, missing
-tensor, shape mismatch, truncated blob.
+tensor, shape mismatch, truncated blob, and a non-finite value, which is
+a NumericalError raised before any arithmetic reads it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conditioner import MelConfig
-from .errors import CheckpointError, ValidationError
+from .errors import CheckpointError, NumericalError, ValidationError
 
 FORMAT_VERSION = 1
 
@@ -37,7 +38,6 @@ class ModelConfig:
     sample_rate: int = 22050
     permutation_strategy: str = "auto"  # auto | none | reverse | bipartite_mix
     conditioned: bool = True
-    weight_norm: bool = True
     mel: MelConfig = field(default_factory=MelConfig)
     dilations_h: list[int] | None = None  # None = schedule chosen from height
 
@@ -75,9 +75,16 @@ class ModelConfig:
 
 
 def config_from_dict(d: dict) -> ModelConfig:
-    """Strict parse: unknown keys are errors, not silently dropped."""
+    """Strict parse: unknown keys are errors, not silently dropped.
+
+    Weight norm is always on; the "weight_norm": true of older configs and
+    checkpoints is accepted and dropped.
+    """
     if not isinstance(d, dict):
         raise ValidationError(f"config is not a JSON object: {d!r}")
+    if d.get("weight_norm", True) is not True:
+        raise ValidationError(f"weight_norm is always on; the config says {d['weight_norm']!r}")
+    d = {k: v for k, v in d.items() if k != "weight_norm"}
     unknown = set(d) - {f.name for f in fields(ModelConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -175,6 +182,8 @@ def load_tensors(base_path) -> tuple[dict[str, np.ndarray], dict]:
                 f"blob has {len(blob)}"
             )
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"tensor {name!r} in {blob_path} holds non-finite values")
         tensors[name] = arr.reshape(shape).copy()
     return tensors, manifest
 
@@ -184,8 +193,8 @@ def _is_tensor_entry(entry) -> bool:
     if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
         return False
     shape, offset = entry.get("shape"), entry.get("offset")
-    dims_ok = isinstance(shape, list) and all(isinstance(n, int) and n >= 0 for n in shape)
-    return dims_ok and isinstance(offset, int) and offset >= 0
+    dims_ok = isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+    return dims_ok and type(offset) is int and offset >= 0  # bool is not an int here
 
 
 # ---------------------------------------------------------------------------

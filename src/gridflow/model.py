@@ -123,7 +123,6 @@ def _assemble(config: ModelConfig, rng, dtype, seed: int) -> Model:
             cond_channels=config.mel.n_mels if config.conditioned else None,
             rng=rng,
             dtype=dtype,
-            weight_norm=config.weight_norm,
             name=f"flow{k}",
         )
         for k in range(config.n_flows)
@@ -131,9 +130,7 @@ def _assemble(config: ModelConfig, rng, dtype, seed: int) -> Model:
     perms = permutation_schedule(config.permutation_strategy, config.n_flows, config.height)
     upsampler = None
     if config.conditioned:
-        upsampler = init_upsampler(
-            config.mel.hop, rng=rng, dtype=dtype, weight_norm=config.weight_norm
-        )
+        upsampler = init_upsampler(config.mel.hop, rng=rng, dtype=dtype)
     return Model(
         config=config,
         stack=FlowStack(nets=nets, permutations=perms),
@@ -221,11 +218,6 @@ def grid_nll(model: Model, grid: np.ndarray, mel: MelSpectrogram | None) -> Tens
     return ad._record("grid_nll", (log_det + base) * scale, tuple(params), backward)
 
 
-def sample_latent(shape, std: float, rng) -> np.ndarray:
-    """Standard-normal latent grid scaled by the sampling temperature."""
-    return rng.standard_normal(shape) * std
-
-
 def synthesize(
     model: Model,
     mel: MelSpectrogram | None,
@@ -250,7 +242,7 @@ def synthesize(
         if mel is None:
             raise ValidationError("conditioned model needs a mel spectrogram")
         cond = conditioner_grids(model, mel, total)
-    z = sample_latent((h, total // h), std, rng).astype(model.dtype)
+    z = (rng.standard_normal((h, total // h)) * std).astype(model.dtype)  # std: the temperature
     if engine == "naive":
         grid = stack_forward(z, cond, model.stack, stats=stats)
     elif engine == "queued":
@@ -284,9 +276,12 @@ def load_checkpoint(base_path, dtype=np.float32) -> Model:
     if "model_config" not in manifest:
         raise CheckpointError("manifest has no model_config")
     config = config_from_dict(manifest["model_config"])
+    for key in ("seed", "train_step"):
+        if type(manifest.get(key, 0)) is not int:
+            raise CheckpointError(f"manifest: {key} is not an integer: {manifest[key]!r}")
     # the file supplies every value, so the skeleton draws none
-    model = _assemble(config, _NoDraws(), dtype, int(manifest.get("seed", 0)))
-    model.step = int(manifest.get("train_step", 0))
+    model = _assemble(config, _NoDraws(), dtype, manifest.get("seed", 0))
+    model.step = manifest.get("train_step", 0)
     for p in model.parameters():
         if p.name not in tensors:
             raise CheckpointError(f"missing tensor {p.name!r}")

@@ -55,21 +55,17 @@ class NormedWeight:
     """Weight-normalized tensor g * v / ||v||, norm per output channel."""
 
     v: Parameter
-    g: Parameter | None  # None = plain weight
+    g: Parameter
 
     def tensor(self) -> np.ndarray:
         v = self.v.data
-        if self.g is None:
-            return v
         norm = np.sqrt((v * v).sum(axis=tuple(range(1, v.ndim)), keepdims=True))
         return v * self.g.data.reshape(norm.shape) / norm
 
-    def adjoint(self, dw: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Gradients of parameters() for a gradient dw of the weight (Salimans & Kingma 2016)."""
+    def adjoint(self, dw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradients of (v, g) for a gradient dw of the weight (Salimans & Kingma 2016)."""
         v = self.v.data
         dw = dw.reshape(v.shape)
-        if self.g is None:
-            return (dw,)
         axes = tuple(range(1, v.ndim))
         norm = np.sqrt((v * v).sum(axis=axes, keepdims=True))
         u = v / norm  # w = g * u: dg = sum(dw * u), dv = (g / ||v||) (dw - u * dg)
@@ -82,7 +78,7 @@ class NormedWeight:
             add_grad(grads, p, g)
 
     def parameters(self) -> list[Parameter]:
-        return [self.v] if self.g is None else [self.v, self.g]
+        return [self.v, self.g]
 
 
 @dataclass
@@ -160,10 +156,8 @@ def width_dilations(n_layers: int) -> list[int]:
     return [cyc[i % len(cyc)] for i in range(n_layers)]
 
 
-def _normed(name: str, shape, rng, dtype, weight_norm: bool, scale=INIT_SCALE):
+def _normed(name: str, shape, rng, dtype, scale=INIT_SCALE):
     v = Parameter((rng.standard_normal(shape) * scale).astype(dtype), f"{name}.v")
-    if not weight_norm:
-        return NormedWeight(v, None)
     axes = tuple(range(1, len(shape)))
     g0 = np.sqrt((v.data.astype(np.float64) ** 2).sum(axis=axes)).astype(dtype)
     # g starts at ||v|| so the normed weight initially equals v
@@ -180,7 +174,6 @@ def init_conv_net(
     cond_channels: int | None = None,
     rng=None,
     dtype=np.float32,
-    weight_norm: bool = True,
     name: str = "net",
 ) -> ConvNetParams:
     """Build a randomly initialized conv net (output head zeroed)."""
@@ -202,29 +195,25 @@ def init_conv_net(
         base = f"{name}.layer{i}"
         cond = None
         if cond_channels:
-            cond = _normed(
-                f"{base}.cond_proj", (2 * r_ch, cond_channels, 1, 1), rng, dtype, weight_norm
-            )
+            cond = _normed(f"{base}.cond_proj", (2 * r_ch, cond_channels, 1, 1), rng, dtype)
         layers.append(
             ConvLayerParams(
-                filter=_normed(
-                    f"{base}.filter", (2 * r_ch, r_ch, kernel_h, kernel_w), rng, dtype, weight_norm
-                ),
+                filter=_normed(f"{base}.filter", (2 * r_ch, r_ch, kernel_h, kernel_w), rng, dtype),
                 bias=zeros((2 * r_ch,), f"{base}.bias"),
                 cond_proj=cond,
-                res_proj=_normed(f"{base}.res_proj", (r_ch, r_ch, 1, 1), rng, dtype, weight_norm),
+                res_proj=_normed(f"{base}.res_proj", (r_ch, r_ch, 1, 1), rng, dtype),
                 res_bias=zeros((r_ch,), f"{base}.res_bias"),
-                skip_proj=_normed(f"{base}.skip_proj", (r_ch, r_ch, 1, 1), rng, dtype, weight_norm),
+                skip_proj=_normed(f"{base}.skip_proj", (r_ch, r_ch, 1, 1), rng, dtype),
                 skip_bias=zeros((r_ch,), f"{base}.skip_bias"),
                 dilation_h=int(dh),
                 dilation_w=int(dw),
             )
         )
     return ConvNetParams(
-        input_proj=_normed(f"{name}.input_proj", (r_ch, 1, 1, 1), rng, dtype, weight_norm),
+        input_proj=_normed(f"{name}.input_proj", (r_ch, 1, 1, 1), rng, dtype),
         input_bias=zeros((r_ch,), f"{name}.input_bias"),
         layers=layers,
-        skip_head=_normed(f"{name}.skip_head", (r_ch, r_ch, 1, 1), rng, dtype, weight_norm),
+        skip_head=_normed(f"{name}.skip_head", (r_ch, r_ch, 1, 1), rng, dtype),
         skip_head_bias=zeros((r_ch,), f"{name}.skip_head_bias"),
         out_head=zeros((2, r_ch, 1, 1), f"{name}.out_head"),
         out_head_bias=zeros((2,), f"{name}.out_head_bias"),

@@ -116,15 +116,16 @@ def read_wav(path) -> Waveform:
             channels = f.getnchannels()
             width = f.getsampwidth()
             rate = f.getframerate()
-            frames = f.readframes(f.getnframes())
+            n_frames = f.getnframes()
+            frames = f.readframes(n_frames)
     except (wave.Error, EOFError) as e:
         raise ValidationError(f"not a readable RIFF/WAVE file: {path} ({e})")
     if channels != 1:
         raise ValidationError(f"only mono audio is supported, got {channels} channels")
     if width != 2:
         raise ValidationError(f"only 16-bit PCM is supported, got {8 * width}-bit")
-    if len(frames) % 2:
-        raise ValidationError(f"WAV data of {len(frames)} bytes is not a whole number of frames")
+    if len(frames) != 2 * n_frames:  # a cut data chunk reads short
+        raise ValidationError(f"WAV data of {len(frames)} bytes is cut short of {n_frames} frames")
     samples = np.frombuffer(frames, dtype="<i2").astype(np.float64) / PCM_SCALE
     return Waveform(samples, rate)
 

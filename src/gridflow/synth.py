@@ -18,14 +18,12 @@ reads the zero pad and is skipped.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ValidationError
-from .flow import SynthStats, floored_sigma, sample_walk, stack_forward
+from .flow import SynthStats, floored_sigma, sample_walk
 from .network import CompiledNet, compile_net, compiled_forward
 
 
@@ -113,58 +111,3 @@ def _queued_flow_forward(x, cond, net, stats: SynthStats | None) -> np.ndarray:
         if stats is not None:
             stats.row_steps += 1
     return out
-
-
-@dataclass
-class BenchReport:
-    """Timing comparison of the two synthesis engines."""
-
-    n_samples: int
-    height: int
-    n_flows: int
-    sequential_steps: int
-    naive_seconds: float
-    queued_seconds: float
-
-    @property
-    def speedup(self) -> float:
-        return self.naive_seconds / self.queued_seconds
-
-    @property
-    def samples_per_second(self) -> float:
-        return self.n_samples / self.queued_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "height": self.height,
-            "n_flows": self.n_flows,
-            "sequential_steps": self.sequential_steps,
-            "naive_seconds": self.naive_seconds,
-            "queued_seconds": self.queued_seconds,
-            "speedup": self.speedup,
-            "samples_per_second": self.samples_per_second,
-        }
-
-
-def bench(stack, z: np.ndarray, cond=None) -> BenchReport:
-    """Time both engines on one latent grid (model build and mel excluded)."""
-    h, w = z.shape
-    t0 = time.perf_counter()
-    naive_stats = SynthStats()
-    x_naive = stack_forward(z, cond, stack, stats=naive_stats)
-    t1 = time.perf_counter()
-    queued_stats = SynthStats()
-    x_queued = synth_queued(z, cond, stack, stats=queued_stats)
-    t2 = time.perf_counter()
-    err = np.max(np.abs(x_naive - x_queued)) if x_naive.size else 0.0
-    if err > 1e-3:
-        raise ValidationError(f"engines disagree by {err:.3e}; refusing to report timings")
-    return BenchReport(
-        n_samples=h * w,
-        height=h,
-        n_flows=stack.n_flows,
-        sequential_steps=queued_stats.row_steps,
-        naive_seconds=t1 - t0,
-        queued_seconds=t2 - t1,
-    )

@@ -13,13 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import NumericalError
-from .flow import (
-    FlowStack,
-    SynthStats,
-    flow_inverse,
-    stack_forward,
-    stack_inverse,
-)
+from .flow import SynthStats, flow_inverse, stack_forward, stack_inverse
 from .io import ModelConfig
 from .model import build_model, cast_model, grid_nll
 from .network import default_dilations, init_conv_net, net_forward, receptive_field
@@ -72,6 +66,13 @@ def check_permutations() -> tuple[str, bool, str]:
     return "permutations", True, "fixed maps and involutions"
 
 
+def set_weight(nw, arr) -> None:
+    """Set a normed weight's v to arr and g to ||v||, so that the weight is arr."""
+    dtype = nw.v.data.dtype
+    nw.v.data = arr.astype(dtype)
+    nw.g.data = np.sqrt((arr**2).sum(axis=tuple(range(1, arr.ndim)))).astype(dtype)
+
+
 def _rig_moderate(model, rng) -> None:
     """Moderate random weights, so that every flow moves the data.
 
@@ -79,13 +80,6 @@ def _rig_moderate(model, rng) -> None:
     init scale keeps the rest close to it. These scales keep sigma in a band
     around 1, so inversion error stays bounded through deep stacks.
     """
-
-    def set_weight(nw, arr):
-        nw.v.data = arr.astype(model.dtype)
-        if nw.g is not None:  # g = ||v|| makes the normed weight equal v
-            axes = tuple(range(1, arr.ndim))
-            nw.g.data = np.sqrt((arr**2).sum(axis=axes)).astype(model.dtype)
-
     for net in model.stack.nets:
         set_weight(net.input_proj, rng.standard_normal(net.input_proj.v.data.shape) * 0.7)
         for layer in net.layers:
@@ -200,7 +194,6 @@ def measure_height_reach(dilations_h, channels=2) -> int:
         dilations_w=[1] * n_layers,
         rng=np.random.default_rng(11),
         dtype=np.float64,
-        weight_norm=False,
     )
     _rig_positive(net, 0.3)
     x = np.zeros((h, 2))
@@ -215,11 +208,10 @@ def measure_height_reach(dilations_h, channels=2) -> int:
 def _rig_positive(net, scale) -> None:
     """Constant positive weights so sensitivities cannot cancel."""
     for layer in net.layers:
-        layer.filter.v.data = np.full_like(layer.filter.v.data, scale)
-        layer.res_proj.v.data = np.full_like(layer.res_proj.v.data, scale)
-        layer.skip_proj.v.data = np.full_like(layer.skip_proj.v.data, scale)
-    net.input_proj.v.data = np.full_like(net.input_proj.v.data, scale)
-    net.skip_head.v.data = np.full_like(net.skip_head.v.data, scale)
+        for nw in (layer.filter, layer.res_proj, layer.skip_proj):
+            set_weight(nw, np.full_like(nw.v.data, scale))
+    set_weight(net.input_proj, np.full_like(net.input_proj.v.data, scale))
+    set_weight(net.skip_head, np.full_like(net.skip_head.v.data, scale))
     net.out_head.data = np.full_like(net.out_head.data, scale)
 
 
@@ -243,11 +235,10 @@ def check_gradients() -> tuple[str, bool, str]:
     rig = np.random.default_rng(10)
     net = model.stack.nets[0]
     for layer in net.layers:
-        layer.filter.v.data = rig.standard_normal(layer.filter.v.data.shape) * 0.4
-        layer.res_proj.v.data = rig.standard_normal(layer.res_proj.v.data.shape) * 0.4
-        layer.skip_proj.v.data = rig.standard_normal(layer.skip_proj.v.data.shape) * 0.4
+        for nw in (layer.filter, layer.res_proj, layer.skip_proj):
+            set_weight(nw, rig.standard_normal(nw.v.data.shape) * 0.4)
         layer.bias.data = rig.standard_normal(layer.bias.data.shape) * 0.1
-    net.skip_head.v.data = np.abs(rig.standard_normal(net.skip_head.v.data.shape)) + 0.2
+    set_weight(net.skip_head, np.abs(rig.standard_normal(net.skip_head.v.data.shape)) + 0.2)
     net.skip_head_bias.data = rig.standard_normal(net.skip_head_bias.data.shape) * 0.1
     net.out_head.data = rig.standard_normal(net.out_head.data.shape) * 0.3
     net.out_head_bias.data = rig.standard_normal(net.out_head_bias.data.shape) * 0.1
@@ -313,7 +304,6 @@ def check_special_cases() -> tuple[str, bool, str]:
         dilations_w=[1, 1],
         rng=np.random.default_rng(31),
         dtype=np.float64,
-        weight_norm=False,
     )
     net.out_head.data = np.random.default_rng(32).standard_normal((2, 2, 1, 1)) * 0.2
     x = np.random.default_rng(33).standard_normal(n)

@@ -13,7 +13,7 @@ the degenerate-grid claims, and the conditioner tests for the mel upsampler.
 import numpy as np
 
 from gridflow.network import init_conv_net, net_forward
-from gridflow.verify import _rig_positive
+from gridflow.verify import _rig_positive, set_weight
 
 
 def conv2d_reference(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))):
@@ -50,7 +50,6 @@ def measure_width_reach(dilations_w, channels=2) -> int:
         dilations_w=dilations_w,
         rng=np.random.default_rng(12),
         dtype=np.float64,
-        weight_norm=False,
     )
     _rig_positive(net, 0.3)
     x = np.zeros((4, w))
@@ -63,7 +62,7 @@ def measure_width_reach(dilations_w, channels=2) -> int:
 
 
 def rigged_net(seed, channels=3, layers=2, kernel_h=3, kernel_w=3, dil_h=None, dil_w=None):
-    """Random net with a nonzero head (plain weights, biases zero)."""
+    """Random net with a nonzero head, biases zero; g = ||v||, so each v is its weight."""
     rng = np.random.default_rng(seed)
     net = init_conv_net(
         channels,
@@ -74,14 +73,12 @@ def rigged_net(seed, channels=3, layers=2, kernel_h=3, kernel_w=3, dil_h=None, d
         dilations_w=dil_w or [1] * layers,
         rng=rng,
         dtype=np.float64,
-        weight_norm=False,
     )
     for layer in net.layers:
-        layer.filter.v.data = rng.standard_normal(layer.filter.v.data.shape) * 0.3
-        layer.res_proj.v.data = rng.standard_normal(layer.res_proj.v.data.shape) * 0.3
-        layer.skip_proj.v.data = rng.standard_normal(layer.skip_proj.v.data.shape) * 0.3
-    net.input_proj.v.data = rng.standard_normal(net.input_proj.v.data.shape) * 0.5
-    net.skip_head.v.data = rng.standard_normal(net.skip_head.v.data.shape) * 0.5
+        for nw in (layer.filter, layer.res_proj, layer.skip_proj):
+            set_weight(nw, rng.standard_normal(nw.v.data.shape) * 0.3)
+    set_weight(net.input_proj, rng.standard_normal(net.input_proj.v.data.shape) * 0.5)
+    set_weight(net.skip_head, rng.standard_normal(net.skip_head.v.data.shape) * 0.5)
     net.out_head.data = rng.standard_normal(net.out_head.data.shape) * 0.3
     return net
 

@@ -175,9 +175,7 @@ def conv2d(x, w, dilation=(1, 1), pad=((0, 0), (0, 0))) -> Tensor:
 
 
 def weight_norm(nw) -> Tensor:
-    """A NormedWeight as one node whose backward is NormedWeight.adjoint; v itself when plain."""
-    if nw.g is None:
-        return nw.v
+    """A NormedWeight as one node whose backward is NormedWeight.adjoint."""
     return _record("weight_norm", nw.tensor(), (nw.v, nw.g), nw.adjoint)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,9 +254,28 @@ class TestBenchCommand:
         code = run_cli("bench", "--config", config, "--seconds", "0.01", "--json")
         assert code == 0
         d = json.loads(capsys.readouterr().out)
-        assert d["n_flows"] == 1
-        assert d["speedup"] > 0
-        assert d["real_time_factor"] > 0
+        assert sorted(d) == [
+            "audio_seconds", "height", "n_flows", "n_samples", "naive_seconds",
+            "queued_seconds", "real_time_factor", "samples_per_second", "sequential_steps",
+            "speedup",
+        ]
+        assert (d["n_samples"], d["height"], d["n_flows"], d["sequential_steps"]) == (220, 4, 1, 4)
+        assert d["naive_seconds"] > 0 and d["queued_seconds"] > 0
+        assert d["speedup"] == d["naive_seconds"] / d["queued_seconds"]
+        assert d["samples_per_second"] == d["n_samples"] / d["queued_seconds"]
+        assert d["audio_seconds"] == d["n_samples"] / 22050
+        assert d["real_time_factor"] == d["audio_seconds"] / d["queued_seconds"]
+
+    def test_refuses_when_engines_disagree(self, corpus, capsys, monkeypatch):
+        import gridflow.model as gf_model
+
+        naive = gf_model.stack_forward
+        monkeypatch.setattr(gf_model, "stack_forward", lambda *a, **k: naive(*a, **k) + 2e-3)
+        _, _, config = corpus
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "bench", "--config", config, "--seconds", 0.01, "--json"
+        )
+        assert "disagree" in err
 
     def test_needs_model_source(self, capsys):
         assert run_cli("bench") == 1
@@ -526,6 +546,16 @@ class TestUndecodableFiles:
         )
         assert "frames" in err and "Traceback" not in err
 
+    def test_wav_data_chunk_cut_short(self, tmp_path, capsys):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        wav = tmp_path / "cut.wav"
+        write_wav(wav, Waveform(np.full(64, 0.1), 22050))
+        wav.write_bytes(wav.read_bytes()[:-2])  # one whole frame short of the header's 64
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "loglik", "--checkpoint", tmp_path / "ck", "--wav", wav
+        )
+        assert "64 frames" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("kind", ["checkpoint", "config", "dataset"])
     def test_manifest_not_utf8(self, corpus, capsys, kind):
         tmp_path, manifest, config = corpus
@@ -545,6 +575,74 @@ class TestUndecodableFiles:
         path.write_bytes(text[:cut] + b"\xff" + text[cut:])
         err = TestFileSystemErrors._fails_cleanly(capsys, *argv)
         assert "utf-8" in err.lower() and "Traceback" not in err
+
+
+class TestNonFiniteTensors:
+    """A non-finite value in a tensor file exits 2 with one line naming the tensor and
+    the file, before any arithmetic could warn."""
+
+    @pytest.mark.parametrize("command", ["loglik", "synth"])
+    def test_checkpoint_blob(self, corpus, capsys, command):
+        tmp_path, _, _ = corpus
+        model = build_model(ModelConfig(**TINY_CONFIG), seed=0)
+        model.stack.nets[0].layers[0].filter.v.data[0, 0, 0, 0] = np.nan
+        save_checkpoint(model, tmp_path / "ck")
+        args = {"loglik": ("--wav", tmp_path / "u0.wav"),
+                "synth": ("--samples", 64, "--out", tmp_path / "x.wav")}[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(command, "--checkpoint", tmp_path / "ck", *args)
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "'flow0.layer0.filter.v'" in err and "ck.blob" in err
+
+    def test_mel_file(self, corpus, capsys):
+        tmp_path, _, _ = corpus
+        cfg = ModelConfig(**{**TINY_CONFIG, "conditioned": True})
+        save_checkpoint(build_model(cfg, seed=0), tmp_path / "ck")
+        frames = np.zeros((16, 80))
+        frames[3, 5] = np.inf
+        save_tensors(tmp_path / "mel", {"mel": frames}, {"sample_rate": 22050})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("synth", "--checkpoint", tmp_path / "ck", "--mel", tmp_path / "mel",
+                           "--out", tmp_path / "x.wav")
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "'mel'" in err and "mel.blob" in err
+        assert not (tmp_path / "x.wav").exists()
+
+
+class TestWeightNormField:
+    """Weight norm is always on: a config or checkpoint may say "weight_norm": true,
+    as older ones do, and anything else exits 1 with one line."""
+
+    def test_true_accepted(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "weight_norm": True}))
+        assert run_cli("bench", "--config", config, "--seconds", 0.01) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [False, "yes", None])
+    def test_config_file(self, tmp_path, capsys, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "weight_norm": value}))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "bench", "--config", config, "--seconds", 0.01
+        )
+        assert "weight_norm" in err
+
+    def test_checkpoint(self, tmp_path, capsys):
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), tmp_path / "ck")
+        manifest = tmp_path / "ck.manifest.json"
+        d = json.loads(manifest.read_text())
+        d["model_config"]["weight_norm"] = False
+        manifest.write_text(json.dumps(d))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "synth", "--checkpoint", tmp_path / "ck", "--samples", 64,
+            "--out", tmp_path / "x.wav",
+        )
+        assert "weight_norm" in err
 
 
 class TestTrainResume:
@@ -597,8 +695,13 @@ class TestMalformedTensorFiles:
 
     @pytest.mark.parametrize(
         "manifest",
-        [{"format_version": 1}, [1, 2], {"format_version": 1, "tensors": [{"name": "x"}]}],
-        ids=["no_tensors", "list", "bad_entry"],
+        [
+            {"format_version": 1},
+            [1, 2],
+            {"format_version": 1, "tensors": [{"name": "x"}]},
+            {"format_version": 1, "tensors": [{"name": "x", "shape": [True], "offset": 0}]},
+        ],
+        ids=["no_tensors", "list", "bad_entry", "bool_in_shape"],
     )
     def test_bad_manifest(self, tmp_path, capsys, manifest):
         ckpt = tmp_path / "ck"
@@ -607,6 +710,21 @@ class TestMalformedTensorFiles:
         TestFileSystemErrors._fails_cleanly(
             capsys, "synth", "--checkpoint", ckpt, "--samples", 64, "--out", tmp_path / "x.wav"
         )
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("train_step", "x"), ("train_step", [1]), ("seed", None), ("seed", 2.5)],
+        ids=["step_string", "step_list", "seed_null", "seed_float"],
+    )
+    def test_bad_checkpoint_integer(self, tmp_path, capsys, key, value):
+        ckpt = tmp_path / "ck"
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), ckpt)
+        manifest = Path(f"{ckpt}.manifest.json")
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), key: value}))
+        err = TestFileSystemErrors._fails_cleanly(
+            capsys, "synth", "--checkpoint", ckpt, "--samples", 64, "--out", tmp_path / "x.wav"
+        )
+        assert key in err
 
     @pytest.mark.parametrize(
         "tensors",
@@ -670,3 +788,93 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert "wf-h16-c64" in proc.stdout
+
+
+def _mutants(data: bytes, rng, n: int, kind: str):
+    """n seeded mutants of a file: cut short, one bit flipped and, for JSON and
+    NDJSON files, one key dropped or one value replaced by a value of another type."""
+    ops = ["truncate", "flip"] + (["drop", "retype"] if kind != "binary" else [])
+    for i in range(n):
+        op = ops[i % len(ops)]
+        if op == "truncate":
+            yield data[: int(rng.integers(len(data)))]
+            continue
+        if op == "flip":
+            out = bytearray(data)
+            out[int(rng.integers(len(out)))] ^= 1 << int(rng.integers(8))
+            yield bytes(out)
+            continue
+        docs = [json.loads(doc) for doc in (data.splitlines() if kind == "ndjson" else [data])]
+        slots = []  # (container, key) of every value in the documents
+
+        def walk(node):
+            for key in range(len(node)) if isinstance(node, list) else list(node):
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    walk(node[key])
+
+        for doc in docs:
+            walk(doc)
+        node, key = slots[int(rng.integers(len(slots)))]
+        if op == "drop":
+            del node[key]
+        else:
+            others = [v for v in ("x", 3, 2.5, None, [1], {"a": 1}, True)
+                      if type(v) is not type(node[key])]
+            node[key] = others[int(rng.integers(len(others)))]
+        yield "\n".join(json.dumps(doc) for doc in docs).encode()
+
+
+KINDS = ["wav", "checkpoint_manifest", "checkpoint_blob", "config", "dataset", "mel"]
+
+
+class TestMutatedFiles:
+    """Seeded mutants of each file kind the CLI reads keep the exit-code contract:
+    no exception, exit 0, 1 or 2, and exactly one stderr line on a non-zero exit
+    (none on a zero exit), a warning counting as a line."""
+
+    SEED = 20261022
+    N_MUTANTS = 25
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mutants(self, tmp_path, capsys, kind):
+        wav = tmp_path / "a.wav"
+        t = np.arange(4096) / 22050.0
+        write_wav(wav, Waveform(0.3 * np.sin(2 * np.pi * 220.0 * t), 22050))
+        ckpt, cond_ckpt, config = tmp_path / "ck", tmp_path / "cond", tmp_path / "tiny.json"
+        save_checkpoint(build_model(ModelConfig(**TINY_CONFIG), seed=0), ckpt)
+        cond = ModelConfig(**{**TINY_CONFIG, "conditioned": True})
+        save_checkpoint(build_model(cond, seed=0), cond_ckpt)
+        config.write_text(json.dumps(TINY_CONFIG))
+        data = tmp_path / "data.ndjson"
+        write_dataset_manifest(data, [DatasetEntry("a.wav", 4096 / 22050.0)])
+        assert run_cli("mel", "--wav", wav, "--out", tmp_path / "mel") == 0
+        capsys.readouterr()
+        loglik = ("loglik", "--checkpoint", ckpt, "--wav", wav)
+        target, file_kind, argv = {
+            "wav": (wav, "binary", loglik),
+            "checkpoint_manifest": (Path(f"{ckpt}.manifest.json"), "json", loglik),
+            "checkpoint_blob": (Path(f"{ckpt}.blob"), "binary", loglik),
+            "config": (config, "json", ("bench", "--config", config, "--seconds", 0.01)),
+            "dataset": (data, "ndjson", ("train", "--config", config, "--data", data,
+                                         "--steps", 1, "--batch", 1, "--clip", 512)),
+            "mel": (tmp_path / "mel.manifest.json", "json",
+                    ("synth", "--checkpoint", cond_ckpt, "--mel", tmp_path / "mel",
+                     "--out", tmp_path / "x.wav")),
+        }[kind]
+        rng = np.random.default_rng([self.SEED, KINDS.index(kind)])
+        escapes = []
+        for i, mutant in enumerate(_mutants(target.read_bytes(), rng, self.N_MUTANTS, file_kind)):
+            target.write_bytes(mutant)
+            run_dir = ("--out-dir", tmp_path / f"run{i}") if kind == "dataset" else ()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = run_cli(*argv, *run_dir)
+                except Exception as e:  # an escape, listed with the others
+                    code = f"{type(e).__name__}: {e}"
+            err = capsys.readouterr().err
+            lines = err.count("\n") + len(caught)
+            if code not in (0, 1, 2) or lines != (code != 0):
+                escapes.append((i, code, err.strip(), [str(w.message) for w in caught]))
+        assert escapes == []

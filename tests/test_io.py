@@ -1,11 +1,12 @@
 """Tensor files, configs, presets, checkpoints, and dataset manifests."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridflow.conditioner import MelConfig
+from gridflow.conditioner import MelConfig, mel_spectrogram
 from gridflow.errors import CheckpointError, ValidationError
 from gridflow.io import (
     DatasetEntry,
@@ -21,8 +22,18 @@ from gridflow.io import (
     save_tensors,
     write_dataset_manifest,
 )
-from gridflow.model import build_model, load_checkpoint, loglik, save_checkpoint
+from gridflow.model import (
+    build_model,
+    cast_model,
+    load_checkpoint,
+    loglik,
+    save_checkpoint,
+    synthesize,
+)
 from gridflow.signal import Waveform
+from gridflow.train import Utterance, batch_gradients, grad_global_norm
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestTensorFiles:
@@ -250,6 +261,50 @@ class TestCheckpoint:
         man_path.write_text(json.dumps(man))
         with pytest.raises(CheckpointError, match=r"shape mismatch.*file has.*needs"):
             load_checkpoint(tmp_path / "ck")
+
+
+class TestOlderCheckpoint:
+    """data/older-ckpt is TestCheckpoint._model(seed=7), saved while weight norm was
+    an option: its model_config says "weight_norm": true. It loads bitwise equal to
+    the same model built now and computes bitwise what that model computes. OLDER_RESULTS
+    holds what the release that saved it computed on one BLAS thread: the loglik
+    total, the synthesized audio's sum of squares, the two-clip loss and its
+    gradient norm."""
+
+    OLDER_RESULTS = {
+        np.float32: (-464.0498390197754, 254.70358566562834, 0.9057542085647583,
+                     1.4009872531012681),
+        np.float64: (-464.0498501214341, 254.70357674323103, 0.9057542168122896,
+                     1.400987305412556),
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["fp32", "fp64"])
+    def test_same_results_as_a_fresh_build(self, dtype):
+        manifest = json.loads((DATA / "older-ckpt.manifest.json").read_text())
+        assert manifest["model_config"]["weight_norm"] is True
+        old = load_checkpoint(DATA / "older-ckpt", dtype=dtype)
+        new = cast_model(TestCheckpoint()._model(seed=7), dtype)
+        assert old.config == new.config
+        for p, q in zip(old.parameters(), new.parameters(), strict=True):
+            assert p.name == q.name and np.array_equal(p.data, q.data), p.name
+        wav = Waveform(np.random.default_rng(2).standard_normal(512) * 0.1, 22050)
+        mel = mel_spectrogram(wav, new.config.mel)
+        utt = Utterance(wav, new.config.mel)
+        runs = []
+        for model in (old, new):
+            report = loglik(model, wav)
+            audio = synthesize(model, mel, 256, rng=np.random.default_rng(3)).samples
+            loss, grads = batch_gradients(model, [(utt, 0), (utt, 64)], 128)
+            runs.append((report.total, report.log_det, audio, loss, grads))
+        (total, log_det, audio, loss, grads), again = runs
+        assert (total, log_det, loss) == (again[0], again[1], again[3])
+        assert np.array_equal(audio, again[2])
+        assert sorted(grads) == sorted(again[4])
+        assert all(np.array_equal(grads[k], again[4][k]) for k in grads)
+        summary = (total, float((audio.astype(np.float64) ** 2).sum()), loss,
+                   grad_global_norm(grads))
+        rtol = 1e-5 if dtype == np.float32 else 1e-9  # the BLAS may sum in another order
+        assert np.allclose(summary, self.OLDER_RESULTS[dtype], rtol=rtol, atol=0)
 
 
 class TestDatasetManifests:

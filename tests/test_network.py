@@ -184,11 +184,6 @@ class TestWeightNorm:
                 an = grads[p.name].reshape(-1)[i]
                 assert abs(fd - an) <= 1e-8 + 1e-6 * abs(fd), (p.name, i)
 
-    def test_weight_norm_off(self):
-        net = init_conv_net(4, 2, rng=np.random.default_rng(15), weight_norm=False)
-        assert net.layers[0].filter.g is None
-        assert np.array_equal(net.layers[0].filter.tensor(), net.layers[0].filter.v.data)
-
 
 # (height, width, kernel_h, kernel_w, dilations_h, dilations_w, cond channels)
 NET_VARIANTS = pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Queued synthesis: ring buffers, engine equivalence, floors, and timing."""
+"""Queued synthesis: ring buffers, engine equivalence, floors, and row costs."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from gridflow.signal import (
     identity_permutation,
     reverse_permutation,
 )
-from gridflow.synth import LayerQueue, QueueState, bench, compile_net, synth_queued, _row_step
+from gridflow.synth import LayerQueue, QueueState, compile_net, synth_queued, _row_step
 
 
 def rigged_net(seed, channels=3, layers=2, dil_h=None, dtype=np.float64):
@@ -30,7 +30,6 @@ def rigged_net(seed, channels=3, layers=2, dil_h=None, dtype=np.float64):
         dilations_w=[1] * layers,
         rng=rng,
         dtype=dtype,
-        weight_norm=True,
     )
     net.out_head.data = (rng.standard_normal(net.out_head.data.shape) * 0.2).astype(dtype)
     return net
@@ -411,18 +410,3 @@ class TestConditionedSynthesis:
         quiet = synthesize(model, None, 64, std=0.0, rng=np.random.default_rng(8))
         assert np.all(quiet.samples == 0.0)
         assert out.samples.std() > 0.1
-
-
-class TestBench:
-    def test_report_fields(self):
-        stack = rigged_stack(8, 2, 70)
-        z = np.random.default_rng(71).standard_normal((8, 8))
-        report = bench(stack, z)
-        assert report.n_samples == 64
-        assert report.height == 8
-        assert report.n_flows == 2
-        assert report.sequential_steps == 16
-        assert report.naive_seconds > 0 and report.queued_seconds > 0
-        d = report.as_dict()
-        assert d["speedup"] == report.speedup
-        assert d["samples_per_second"] == report.samples_per_second
